@@ -34,7 +34,7 @@ from .geometry import (
     prolongation_system,
     tangent_system,
 )
-from .prolong import extend_derivation, tau, tau_pair_eval
+from .prolong import MAX_COFACTOR_K, extend_derivation, tau, tau_pair_eval
 from .selfcheck import CHECKS, run_check
 from .syntax import (
     ParseError,
@@ -93,6 +93,8 @@ def load_document(path: str) -> SystemDocument:
         tables = base.get("tables", [])
     except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"malformed system document: {e}") from e
+    if m < 0 or n < 0:
+        raise InputError("m and n must be non-negative")
     if len(tables) != m + 1:
         raise InputError(f"base.tables must have m+1 = {m + 1} rows")
     from .syntax import parse_scalar_rf
@@ -109,12 +111,20 @@ def load_document(path: str) -> SystemDocument:
     matrix = None
     if "matrix" in raw and raw["matrix"] is not None:
         matrix = parse_matrix_data(raw["matrix"])
-    points = {}
-    for name, entries in (raw.get("points") or {}).items():
-        points[str(name)] = tuple(str(v) for v in entries)
-    polys = tuple(str(p) for p in raw.get("polys", []))
-    w = tuple(str(p) for p in raw.get("w", []))
+    raw_points = raw.get("points") or {}
+    if not isinstance(raw_points, dict):
+        raise InputError("'points' must map names to lists of strings")
+    points = {name: _string_list(entries, f"point {name!r}")
+              for name, entries in raw_points.items()}
+    polys = _string_list(raw.get("polys", []), "'polys'")
+    w = _string_list(raw.get("w", []), "'w'")
     return SystemDocument(m, n, field, polys, matrix, points, w)
+
+
+def _string_list(value, what: str) -> tuple:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise InputError(f"{what} must be a list of strings")
+    return tuple(value)
 
 
 def parse_matrix_data(data) -> RationalMatrix:
@@ -174,12 +184,24 @@ def matrix_json(M: RationalMatrix):
 
 
 def _parse_system_polys(doc: SystemDocument, ctx: Context):
+    """The document's polys, which must be jets of x (block 1) only."""
     if not doc.poly_texts:
         raise EmptySystem("the document has no polys")
     try:
-        return [parse_poly(t, ctx) for t in doc.poly_texts]
+        polys = [parse_poly(t, ctx) for t in doc.poly_texts]
     except ParseError as e:
         raise InputError(f"bad polynomial: {e}") from e
+    for text, f in zip(doc.poly_texts, polys):
+        if any(b != 1 for b in f.blocks()):
+            raise InputError(f"polynomial {text!r} uses jets outside block 1 (x)")
+    return polys
+
+
+def _variety(polys) -> VarietySystem:
+    try:
+        return VarietySystem(tuple(polys))
+    except ValueError as e:
+        raise InputError(str(e)) from e
 
 
 def _emit(payload, lines, fmt, out):
@@ -211,7 +233,7 @@ def cmd_tau(args, out) -> int:
 def cmd_prolong(args, out) -> int:
     doc = load_document(args.input)
     ctx = doc.context()
-    V = VarietySystem(tuple(_parse_system_polys(doc, ctx)))
+    V = _variety(_parse_system_polys(doc, ctx))
     system = prolongation_system(V)
     lines = []
     pairs = []
@@ -228,7 +250,7 @@ def cmd_prolong(args, out) -> int:
 def cmd_tangent(args, out) -> int:
     doc = load_document(args.input)
     ctx = doc.context()
-    V = VarietySystem(tuple(_parse_system_polys(doc, ctx)))
+    V = _variety(_parse_system_polys(doc, ctx))
     system = tangent_system(V)
     lines = []
     pairs = []
@@ -244,7 +266,7 @@ def cmd_tangent(args, out) -> int:
 def cmd_fiber(args, out) -> int:
     doc = load_document(args.input)
     ctx = doc.context()
-    V = VarietySystem(tuple(_parse_system_polys(doc, ctx)))
+    V = _variety(_parse_system_polys(doc, ctx))
     point = parse_point_arg(args.point, doc)
     try:
         fib = fiber_system(V, point)
@@ -324,6 +346,13 @@ def cmd_extend(args, out) -> int:
 
 def cmd_check(args, out) -> int:
     name = args.name
+    if args.cases < 1:
+        raise InputError("--cases must be at least 1")
+    if args.k is not None:
+        if args.k < 1:
+            raise InputError("--k must be at least 1")
+        if name == "radic2" and args.k > MAX_COFACTOR_K:
+            raise InputError(f"--k must be at most {MAX_COFACTOR_K} for radic2")
     outcome = run_check(name, seed=args.seed, cases=args.cases, k=args.k)
     out.write(outcome.summary() + "\n")
     for fail in outcome.failures:
@@ -365,7 +394,7 @@ def emit_axiom_instance(field: BaseFieldSpec, n: int, M: RationalMatrix,
     for w in w_polys:
         if any(b > 2 for b in w.blocks()):
             raise InputError("W generators must live in blocks (x, y)")
-    system = prolongation_system(VarietySystem(tuple(v_polys)))
+    system = prolongation_system(_variety(v_polys))
     deltas, dee = make_transformed(M, field)
     v_txt = [print_poly(f) for f, _ in system.pairs]
     tau_txt = [print_poly(t) for _, t in system.pairs]

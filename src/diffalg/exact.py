@@ -191,6 +191,11 @@ class MultiPoly:
 
     def __mul__(self, other):
         self._check(other)
+        # a constant factor only scales: no monomial products
+        if len(other.terms) == 1 and MONO_ONE in other.terms:
+            return self.scale(other.terms[MONO_ONE])
+        if len(self.terms) == 1 and MONO_ONE in self.terms:
+            return other.scale(self.terms[MONO_ONE])
         terms = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -527,14 +532,29 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
 # -- rational functions ------------------------------------------------------
 
 
+_ONE = Fraction(1)
+
+
+def _unit(vars) -> MultiPoly:
+    """The constant polynomial 1 over the registry `vars`."""
+    out = MultiPoly(vars)
+    out.terms = {MONO_ONE: _ONE}
+    return out
+
+
 class RationalFunction:
     """Quotient of two MultiPolys over the same registry, den != 0.
 
-    Equality is decided by cross-multiplication; gcd reduction is applied
-    only when the term-count product crosses REDUCE_THRESHOLD, plus a cheap
-    monomial/integer content normalization always. The denominator is kept
-    with positive leading coefficient and coprime integer coefficients, so
-    the representation (hence printing) is deterministic.
+    Invariant of the stored pair: a constant denominator is exactly 1, so
+    every polynomial value is stored as (num, 1); a non-constant denominator
+    has a positive leading coefficient and coprime integer coefficients,
+    shares no monomial factor with the numerator, and is gcd-reduced against
+    it whenever their term-count product reaches REDUCE_THRESHOLD. The
+    representation, hence printing, is deterministic.
+
+    Arithmetic and equality use the cross-multiplication formulas with every
+    product by a denominator 1 skipped, so values with denominator 1 are
+    added, multiplied, compared and differentiated on numerators alone.
     """
 
     __slots__ = ("num", "den")
@@ -542,11 +562,16 @@ class RationalFunction:
 
     def __init__(self, num: MultiPoly, den: MultiPoly | None = None):
         if den is None:
-            den = MultiPoly.constant(num.vars, Fraction(1))
-        if not den:
+            den = _unit(num.vars)
+        elif len(den.terms) == 1 and MONO_ONE in den.terms:
+            c = den.terms[MONO_ONE]
+            if c != 1:
+                num = num.scale(_ONE / c)
+            den = _unit(num.vars)
+        elif not den:
             raise ZeroDivisionError("zero denominator")
-        if not num:
-            den = MultiPoly.constant(num.vars, Fraction(1))
+        elif not num:
+            den = _unit(num.vars)
         else:
             num, den = self._normalize(num, den)
         self.num = num
@@ -604,7 +629,8 @@ class RationalFunction:
         return bool(self.num)
 
     def is_polynomial(self):
-        return self.den.is_constant() and self.den.constant_value() == 1
+        d = self.den.terms
+        return len(d) == 1 and MONO_ONE in d
 
     def _check(self, other):
         if self.vars != other.vars:
@@ -616,14 +642,14 @@ class RationalFunction:
         if not isinstance(other, RationalFunction):
             return NotImplemented
         self._check(other)
-        return self.num * other.den == other.num * self.den
+        return _times_den(self.num, other) == _times_den(other.num, self)
 
     __hash__ = None
 
     def __add__(self, other):
         self._check(other)
-        return RationalFunction(self.num * other.den + other.num * self.den,
-                                self.den * other.den)
+        return RationalFunction(_times_den(self.num, other) + _times_den(other.num, self),
+                                _times_den(self.den, other))
 
     def __neg__(self):
         return RationalFunction(-self.num, self.den)
@@ -633,13 +659,13 @@ class RationalFunction:
 
     def __mul__(self, other):
         self._check(other)
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        return RationalFunction(self.num * other.num, _times_den(self.den, other))
 
     def __truediv__(self, other):
         self._check(other)
         if not other.num:
             raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
+        return RationalFunction(_times_den(self.num, other), self.den * other.num)
 
     def inverse(self):
         if not self.num:
@@ -659,20 +685,17 @@ class RationalFunction:
 
     def partial(self, index):
         """Formal partial derivative with respect to a registry variable."""
+        if self.is_polynomial():
+            return RationalFunction(self.num.partial(index))
         n = self.num.partial(index) * self.den - self.num * self.den.partial(index)
         return RationalFunction(n, self.den * self.den)
-
-    def reduced(self):
-        """Fully gcd-reduced copy (used by printing of small values)."""
-        if not self.num or self.is_polynomial():
-            return self
-        g = poly_gcd(self.num, self.den)
-        if g and not g.is_constant():
-            return RationalFunction(poly_divide_exact(self.num, g),
-                                    poly_divide_exact(self.den, g))
-        return self
 
     def __repr__(self):
         if self.is_polynomial():
             return repr(self.num)
         return f"({self.num!r})/({self.den!r})"
+
+
+def _times_den(p: MultiPoly, r: RationalFunction) -> MultiPoly:
+    """p * r.den, skipping the product when r.den is 1."""
+    return p if r.is_polynomial() else p * r.den

@@ -7,7 +7,7 @@ The designated derivation D is always the last table row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .exact import RationalFunction
@@ -34,6 +34,8 @@ class BaseFieldSpec:
 
     generators: tuple
     tables: tuple
+    # DerivationVector -> its combined_row, filled by derive_base
+    _rows: dict = dc_field(default_factory=dict, init=False, repr=False)
 
     @property
     def m(self) -> int:
@@ -180,11 +182,16 @@ def derive_base(e: BaseFieldElement, d) -> BaseFieldElement:
     if isinstance(d, int):
         row = spec.tables[d]
     else:
-        row = d.combined_row(spec)
+        row = spec._rows.get(d)
+        if row is None:
+            row = spec._rows[d] = d.combined_row(spec)
+    rf = e.rf
+    if rf.is_polynomial() and rf.num.is_constant():
+        return spec.zero()
     out = RationalFunction.const(spec.generators, 0)
     for j, dgj in enumerate(row):
         if dgj:
-            out = out + e.rf.partial(j) * dgj
+            out = out + rf.partial(j) * dgj
     return BaseFieldElement(spec, out)
 
 

@@ -38,6 +38,9 @@ from .deltaring import (
 from .exact import DEGREVLEX, poly_divide_exact
 from .fields import BaseFieldElement, DerivationVector, derive_base
 
+# Largest power k that tau_power_cofactor accepts by default.
+MAX_COFACTOR_K = 3
+
 
 class PreconditionFailed(Exception):
     """A checked hypothesis of an operation does not hold; the message names
@@ -341,7 +344,7 @@ def nabla_eval(f: DeltaPoly, point, k: int):
     return lhs, rhs
 
 
-def tau_power_cofactor(f: DeltaPoly, k: int, max_k: int = 3) -> DeltaPoly:
+def tau_power_cofactor(f: DeltaPoly, k: int, max_k: int = MAX_COFACTOR_K) -> DeltaPoly:
     """The cofactor p with shift^k(f^k) = k! * (tau f)^k + f * p, extracted
     by exact division. DivisionFails here is a hard error: it would falsify
     the implementation or the block-shift convention."""

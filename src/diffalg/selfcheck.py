@@ -14,9 +14,11 @@ from dataclasses import dataclass, field as dc_field
 from random import Random
 
 from .deltaring import Context, apply_delta, eval_at_blocks
+from .exact import DivisionFails
 from .fields import derive_base
 from .geometry import VarietySystem, section_contains, torsor_act
 from .prolong import (
+    MAX_COFACTOR_K,
     Certificate,
     CertificateInvalid,
     Verified,
@@ -131,7 +133,7 @@ def check_radic1(seed: int = 0, cases: int = 50, k_max: int = 3) -> CheckOutcome
     return out
 
 
-def check_radic2(seed: int = 0, cases: int = 50, k_max: int = 3) -> CheckOutcome:
+def check_radic2(seed: int = 0, cases: int = 50, k_max: int = MAX_COFACTOR_K) -> CheckOutcome:
     """Power cofactor extraction: shift^k(f^k) - k!(tau f)^k divides by f."""
     from math import factorial
 
@@ -143,7 +145,7 @@ def check_radic2(seed: int = 0, cases: int = 50, k_max: int = 3) -> CheckOutcome
         k = 1 + case % k_max
         try:
             p = tau_power_cofactor(f, k)
-        except Exception as e:  # DivisionFails would falsify the convention
+        except DivisionFails as e:  # would falsify the block-shift convention
             out.failures.append(f"case {case}: k={k} raised {e!r} on {print_poly(f)}")
             continue
         acc = f ** k

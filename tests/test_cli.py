@@ -180,3 +180,61 @@ def test_check_failure_exit_code(monkeypatch):
     code, text = run_cli(["check", "exten3", "--cases", "1"])
     assert code == 1
     assert "witness" in text
+
+
+BASE = {"m": 1, "n": 1, "base": {"generators": ["t"], "tables": [["1"], ["0"]]}}
+BAD_DOCUMENTS = [
+    ("zero_poly", ["prolong"], {**BASE, "polys": ["0"]}),
+    ("zero_poly_tangent", ["tangent"], {**BASE, "polys": ["0"]}),
+    ("zero_poly_fiber", ["fiber", "--point", "t"], {**BASE, "polys": ["0"]}),
+    ("zero_poly_axiom", ["axiom-instance", "--matrix", '[["1","0"],["0","1"]]',
+                         "--w", "x1"], {**BASE, "polys": ["0"]}),
+    ("block2_generator", ["tau"], {**BASE, "polys": ["y1 - t"]}),
+    ("block2_extend", ["extend", "--point", "t", "--companion", "1"],
+     {**BASE, "polys": ["y1 - t"]}),
+    ("negative_m", ["tau"], {"m": -1, "n": 1, "base": {"generators": ["t"], "tables": []},
+                             "polys": ["x1"]}),
+    ("polys_string", ["tau"], {**BASE, "polys": "x1 - t"}),
+    ("polys_numbers", ["tau"], {**BASE, "polys": [1]}),
+    ("w_string", ["axiom-instance", "--matrix", '[["1","0"],["0","1"]]'],
+     {**BASE, "polys": ["x1"], "w": "x1"}),
+    ("point_string", ["fiber", "--point", "a"],
+     {**BASE, "polys": ["x1 - t"], "points": {"a": "tt"}}),
+    ("points_list", ["tau"], {**BASE, "polys": ["x1 - t"], "points": ["t"]}),
+]
+BAD_ARGVS = [
+    ["check", "radic1", "--k", "0", "--cases", "3"],
+    ["check", "radic2", "--k", "5", "--cases", "5"],
+    ["check", "radic2", "--k", "-1"],
+    ["check", "exten1", "--cases", "-3"],
+    ["check", "exten1", "--cases", "0"],
+]
+
+
+def assert_one_error_line(capsys, code):
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("name,command,doc", BAD_DOCUMENTS,
+                         ids=[d[0] for d in BAD_DOCUMENTS])
+def test_bad_document_exits_2(tmp_path, capsys, name, command, doc):
+    p = tmp_path / f"{name}.json"
+    p.write_text(json.dumps(doc))
+    code = main([command[0], "--input", str(p)] + command[1:])
+    assert_one_error_line(capsys, code)
+
+
+@pytest.mark.parametrize("argv", BAD_ARGVS, ids=[" ".join(a) for a in BAD_ARGVS])
+def test_bad_check_argument_exits_2(capsys, argv):
+    assert_one_error_line(capsys, main(argv))
+
+
+def test_radic2_fault_is_not_a_witness():
+    from diffalg.selfcheck import check_radic2
+
+    with pytest.raises(ValueError):
+        check_radic2(seed=0, cases=4, k_max=4)

@@ -199,6 +199,45 @@ class TestRationalFunction:
         r = RationalFunction(ONE, A)
         assert r.partial(0) == RationalFunction(-ONE, A * A)
 
+    def test_constant_denominator_is_one(self):
+        r = RationalFunction(A + ONE, ONE.scale(Fraction(-2, 3)))
+        assert r.is_polynomial()
+        assert r.den.terms == {(): 1}
+        assert r.num == (A + ONE).scale(Fraction(-3, 2))
+
+
+def stored(r):
+    return r.num.terms, r.den.terms
+
+
+constants = st.builds(
+    lambda p, q: MultiPoly.constant(VARS, Fraction(p, q)),
+    st.integers(-6, 6).filter(bool), st.integers(1, 5))
+denominators = st.one_of(constants, multipolys(max_terms=3).filter(bool))
+
+
+class TestPolynomialFastPath:
+    """Values with denominator 1 skip normalisation and denominator
+    products; their stored pairs must equal those of the general path."""
+
+    @given(multipolys(max_terms=6).filter(bool), constants)
+    @settings(max_examples=80, deadline=None)
+    def test_constant_denominator_matches_normalize(self, num, d):
+        r = RationalFunction(num, d)
+        assert stored(r) == tuple(p.terms for p in RationalFunction._normalize(num, d))
+
+    @given(multipolys(), denominators, multipolys(), denominators)
+    @settings(max_examples=80, deadline=None)
+    def test_mixed_arithmetic_matches_cross_multiplication(self, n1, d1, n2, d2):
+        r1, r2 = RationalFunction(n1, d1), RationalFunction(n2, d2)
+        a, b, c, d = r1.num, r1.den, r2.num, r2.den
+        assert stored(r1 + r2) == stored(RationalFunction(a * d + c * b, b * d))
+        assert stored(r1 * r2) == stored(RationalFunction(a * c, b * d))
+        assert (r1 == r2) == (a * d == c * b)
+        for i in range(len(VARS)):
+            expected = RationalFunction(a.partial(i) * b - a * b.partial(i), b * b)
+            assert stored(r1.partial(i)) == stored(expected)
+
 
 class TestGcd:
     def test_common_factor(self):

@@ -68,6 +68,28 @@ class TestDeriveBase:
             assert lhs == rhs
 
 
+class TestDerivationRows:
+    def test_wrong_length_vector_rejected_on_constant(self, qt):
+        with pytest.raises(ValueError):
+            derive_base(qt.rational(3), DerivationVector((Fraction(1),)))
+
+    def test_fields_do_not_share_rows(self):
+        K1 = base_field(["t"], [[1], [0]])
+        K2 = base_field(["t"], [[2], [0]])
+        d = DerivationVector((Fraction(1), Fraction(0)))
+        assert derive_base(K1.gen("t"), d) == K1.one()
+        assert derive_base(K2.gen("t"), d) == K2.rational(2)
+        # an equal vector built afresh reuses the memoised row of its field
+        again = DerivationVector((Fraction(1), Fraction(0)))
+        assert derive_base(K1.gen("t") ** 2, again) == 2 * K1.gen("t")
+        assert derive_base(K2.gen("t") ** 2, again) == 4 * K2.gen("t")
+
+    def test_constant_derives_to_zero(self, qtu):
+        d = DerivationVector((Fraction(1), Fraction(1)))
+        assert derive_base(qtu.rational(Fraction(5, 3)), d) == qtu.zero()
+        assert derive_base(qtu.gen("u"), d) == qtu.gen("u")
+
+
 class TestCommutativity:
     def test_partials_commute(self, q2_partials):
         assert check_commutativity(q2_partials) is None
