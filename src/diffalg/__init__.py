@@ -52,7 +52,7 @@ from .fields import (
 )
 from .geometry import (
     PointNotOnV,
-    ProlongationSystem,
+    PairedSystem,
     VarietySystem,
     WitnessMissing,
     component_fiber_check,

@@ -89,12 +89,18 @@ def load_document(path: str) -> SystemDocument:
         m = int(raw["m"])
         n = int(raw["n"])
         base = raw["base"]
-        generators = [str(g) for g in base.get("generators", [])]
-        tables = base.get("tables", [])
     except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"malformed system document: {e}") from e
     if m < 0 or n < 0:
         raise InputError("m and n must be non-negative")
+    if not isinstance(base, dict):
+        raise InputError("'base' must be an object")
+    generators = _string_list(base.get("generators", []), "base.generators")
+    if len(set(generators)) != len(generators):
+        raise InputError("base.generators must be distinct")
+    tables = base.get("tables", [])
+    if not isinstance(tables, list) or not all(isinstance(row, list) for row in tables):
+        raise InputError("base.tables must be a list of rows, each a list")
     if len(tables) != m + 1:
         raise InputError(f"base.tables must have m+1 = {m + 1} rows")
     from .syntax import parse_scalar_rf

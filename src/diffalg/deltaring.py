@@ -224,6 +224,19 @@ def mono_make(pairs):
 def mono_mul(a, b):
     return mono_make(list(a) + list(b))
 
+
+def mono_lower(mono, idx: int) -> list:
+    """The (jet, power) pairs of mono with the power of factor idx lowered by
+    one, dropping the factor when its power reaches zero."""
+    rest = list(mono)
+    jet, p = rest[idx]
+    if p == 1:
+        del rest[idx]
+    else:
+        rest[idx] = (jet, p - 1)
+    return rest
+
+
 def mono_total_degree(mono) -> int:
     return sum(p for _, p in mono)
 
@@ -285,12 +298,7 @@ class DeltaPoly:
         o = self._coerce(other)
         terms = dict(self.terms)
         for m, c in o.terms.items():
-            s = terms.get(m)
-            s = c if s is None else s + c
-            if s:
-                terms[m] = s
-            elif m in terms:
-                del terms[m]
+            accumulate(terms, m, c)
         return DeltaPoly(self.ctx, terms)
 
     __radd__ = __add__
@@ -310,14 +318,7 @@ class DeltaPoly:
         terms = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in o.terms.items():
-                m = mono_mul(m1, m2)
-                c = c1 * c2
-                s = terms.get(m)
-                s = c if s is None else s + c
-                if s:
-                    terms[m] = s
-                elif m in terms:
-                    del terms[m]
+                accumulate(terms, mono_mul(m1, m2), c1 * c2)
         return DeltaPoly(self.ctx, terms)
 
     __rmul__ = __mul__
@@ -376,38 +377,41 @@ class DeltaPoly:
 # -- structural derivation ---------------------------------------------------
 
 
+def accumulate(terms: dict, mono, c) -> None:
+    """Add c to the coefficient of mono in a term dict, keeping every stored
+    coefficient nonzero."""
+    s = terms.get(mono)
+    s = c if s is None else s + c
+    if s:
+        terms[mono] = s
+    elif mono in terms:
+        del terms[mono]
+
+
+def leibniz(f: DeltaPoly, jet_image, vec: DerivationVector) -> DeltaPoly:
+    """The derivation of the jet ring that sends each jet u to the jet
+    jet_image(u) and acts on coefficients through vec: Leibniz over each
+    monomial, replacing one factor per summand by its image, plus the
+    coefficient-derived part."""
+    terms = {}
+    for mono, c in f.terms.items():
+        for idx, (jet, p) in enumerate(mono):
+            image = mono_make(mono_lower(mono, idx) + [(jet_image(jet), 1)])
+            accumulate(terms, image, c * p)
+        dc = derive_base(c, vec)
+        if dc:
+            accumulate(terms, mono, dc)
+    return DeltaPoly(f.ctx, terms)
+
+
 def apply_delta(i: int, f: DeltaPoly) -> DeltaPoly:
-    """Apply the i-th structural derivation (0-based): Leibniz over each
-    monomial, bumping the i-th operator exponent of one factor per summand,
-    plus the coefficient-derived part."""
+    """Apply the i-th structural derivation (0-based): the Leibniz derivation
+    that bumps the i-th operator exponent of a jet and acts on coefficients
+    through the context's i-th derivation vector."""
     ctx = f.ctx
     if not 0 <= i < ctx.num_ops:
         raise ContextError(f"derivation index {i} out of range")
-    terms = {}
-
-    def add(mono, c):
-        if not c:
-            return
-        s = terms.get(mono)
-        s = c if s is None else s + c
-        if s:
-            terms[mono] = s
-        elif mono in terms:
-            del terms[mono]
-
-    vec = ctx.deltas[i]
-    for mono, c in f.terms.items():
-        for idx, (jet, p) in enumerate(mono):
-            bumped = Jet(jet.op.bump(i), jet.var, jet.block)
-            rest = list(mono)
-            if p == 1:
-                del rest[idx]
-            else:
-                rest[idx] = (jet, p - 1)
-            add(mono_make(rest + [(bumped, 1)]), c * p)
-        dc = derive_base(c, vec)
-        add(mono, dc)
-    return DeltaPoly(ctx, terms)
+    return leibniz(f, lambda jet: Jet(jet.op.bump(i), jet.var, jet.block), ctx.deltas[i])
 
 
 def apply_op(op: DerivOp, f: DeltaPoly) -> DeltaPoly:
@@ -484,6 +488,19 @@ class _OpCache:
         raise TypeError(f"unsupported point entry {value!r}")
 
 
+def substitute(f: DeltaPoly, image) -> DeltaPoly:
+    """The ring homomorphism that fixes coefficients and sends each jet u to
+    the DeltaPoly image(u) over the same context."""
+    ctx = f.ctx
+    out = ctx.zero()
+    for mono, c in f.terms.items():
+        term = ctx.const(c)
+        for jet, p in mono:
+            term = term * image(jet) ** p
+        out = out + term
+    return out
+
+
 def substitute_blocks(f: DeltaPoly, assignment) -> DeltaPoly:
     """Substitute whole blocks of indeterminates: assignment maps a block
     index to an n-tuple of values (base-field elements or DeltaPolys over the
@@ -496,20 +513,16 @@ def substitute_blocks(f: DeltaPoly, assignment) -> DeltaPoly:
         if len(point) != ctx.n:
             raise ValueError(f"point for block {block} must have length {ctx.n}")
     cache = _OpCache(ctx, assignment)
-    out = ctx.zero()
-    for mono, c in f.terms.items():
-        term = ctx.const(c)
-        for jet, p in mono:
-            v = cache.jet_value(jet)
-            if v is None:
-                factor = DeltaPoly(ctx, {((jet, 1),): ctx.field.one()})
-            elif isinstance(v, BaseFieldElement):
-                factor = ctx.const(v)
-            else:
-                factor = v
-            term = term * factor ** p
-        out = out + term
-    return out
+
+    def image(jet: Jet) -> DeltaPoly:
+        v = cache.jet_value(jet)
+        if v is None:
+            return DeltaPoly(ctx, {((jet, 1),): ctx.field.one()})
+        if isinstance(v, BaseFieldElement):
+            return ctx.const(v)
+        return v
+
+    return substitute(f, image)
 
 
 def eval_at_blocks(f: DeltaPoly, assignment) -> BaseFieldElement:

@@ -459,13 +459,6 @@ def _as_univariate(p: MultiPoly, v: int):
     return {e: q for e, q in coeffs.items() if q}
 
 
-def _from_univariate(vars, v, coeffs):
-    out = MultiPoly.zero(vars)
-    for e, q in coeffs.items():
-        out += q.mul_term(((v, e),) if e else MONO_ONE, Fraction(1))
-    return out
-
-
 def _pseudo_rem(a: MultiPoly, b: MultiPoly, v: int) -> MultiPoly:
     """Pseudo-remainder of a by b with respect to variable v."""
     da, db = a.degree_in(v), b.degree_in(v)

@@ -25,6 +25,7 @@ from .prolong import (
     PreconditionFailed,
     coeff_derive,
     dee_vector,
+    nabla_point,
     shift_tau,
     tau,
     tau_at,
@@ -69,58 +70,31 @@ class VarietySystem:
 
 
 @dataclass(frozen=True, eq=False)
-class ProlongationSystem:
-    """Paired generators (f_i, tau f_i); the second member lives in blocks
-    (x, y) = (1, 2)."""
+class PairedSystem:
+    """Generators paired with a block-(1, 2) companion each: (f_i, tau f_i)
+    for the prolongation system, (f_i, df_i . theta y) for the tangent
+    system. note records any caveat on how the system may be read."""
 
     base: VarietySystem
     pairs: tuple
-    note: str = DCF_CAVEAT
-
-    def tau_parts(self):
-        return tuple(t for _, t in self.pairs)
-
-    def satisfied_at(self, a, b) -> bool:
-        blocks = {1: tuple(a), 2: tuple(b)}
-        return all(
-            not eval_at_blocks(f, {1: tuple(a)}) and not eval_at_blocks(t, blocks)
-            for f, t in self.pairs
-        )
+    note: str = ""
 
 
-@dataclass(frozen=True, eq=False)
-class TangentSystem:
-    """Paired generators (f_i, linear part of tau f_i): the coefficient-derived
-    summand is dropped, leaving the Jacobian dotted with the block-2 jets."""
-
-    base: VarietySystem
-    pairs: tuple
-
-    def tau_parts(self):
-        return tuple(t for _, t in self.pairs)
-
-    def satisfied_at(self, a, b) -> bool:
-        blocks = {1: tuple(a), 2: tuple(b)}
-        return all(
-            not eval_at_blocks(f, {1: tuple(a)}) and not eval_at_blocks(t, blocks)
-            for f, t in self.pairs
-        )
-
-
-def prolongation_system(V: VarietySystem) -> ProlongationSystem:
+def prolongation_system(V: VarietySystem) -> PairedSystem:
     """Emit the system {f_i = 0, tau f_i = 0}."""
-    return ProlongationSystem(V, tuple((g, tau(g)) for g in V.generators))
+    return PairedSystem(V, tuple((g, tau(g)) for g in V.generators), DCF_CAVEAT)
 
 
-def tangent_system(V: VarietySystem) -> TangentSystem:
-    """Emit the system {f_i = 0, df_i . theta y = 0}. When every generator has
-    D-constant coefficients this coincides syntactically with the tau parts of
-    the prolongation system."""
+def tangent_system(V: VarietySystem) -> PairedSystem:
+    """Emit the system {f_i = 0, df_i . theta y = 0}: tau with the
+    coefficient-derived summand dropped, leaving the Jacobian dotted with the
+    block-2 jets. When every generator has D-constant coefficients this
+    coincides syntactically with the tau parts of the prolongation system."""
     pairs = []
     for g in V.generators:
         linear = tau(g) - coeff_derive(g, dee_vector(g.ctx))
         pairs.append((g, linear))
-    return TangentSystem(V, tuple(pairs))
+    return PairedSystem(V, tuple(pairs))
 
 
 def fiber_system(V: VarietySystem, point):
@@ -131,16 +105,6 @@ def fiber_system(V: VarietySystem, point):
     return tuple(tau_at(g, point) for g in V.generators)
 
 
-def tangent_fiber_system(V: VarietySystem, point):
-    if not V.contains(point):
-        raise PointNotOnV("point does not satisfy the variety generators")
-    out = []
-    for g in V.generators:
-        linear = tau(g) - coeff_derive(g, dee_vector(g.ctx))
-        out.append(substitute_blocks(linear, {1: tuple(point)}))
-    return tuple(out)
-
-
 def section_contains(V: VarietySystem, point) -> bool:
     """Whether (a, Da) satisfies the prolongation system. The point must lie
     on V (PointNotOnV otherwise); given that, a False return is an
@@ -148,10 +112,7 @@ def section_contains(V: VarietySystem, point) -> bool:
     forces the section into the prolongation."""
     if not V.contains(point):
         raise PointNotOnV("point does not satisfy the variety generators")
-    ctx = V.ctx
-    dvec = dee_vector(ctx)
-    da = tuple(derive_base(a, dvec) for a in point)
-    blocks = {1: tuple(point), 2: da}
+    blocks = nabla_point(V.ctx, point, 1)
     return all(not eval_at_blocks(tau(g), blocks) for g in V.generators)
 
 
@@ -302,9 +263,8 @@ def component_fiber_check(
         return FiberCheckResult(False, diagnostic="affine spans of fibre systems differ")
 
     # cross-evaluate candidate fibre points: zero and D(point)
-    dvec = dee_vector(ctx)
     candidates = [tuple(ctx.field.zero() for _ in range(ctx.n)),
-                  tuple(derive_base(x, dvec) for x in point)]
+                  nabla_point(ctx, point, 1)[2]]
     for cand in candidates:
         in_V = all(not eval_at_blocks(p, {2: cand}) for p in fib_V)
         in_i = all(not eval_at_blocks(p, {2: cand}) for p in fib_i)
@@ -359,7 +319,7 @@ def section_map(f_tuple, g: DeltaPoly, k: int) -> SectionMap:
 
     # tau of g over the whole (k+1)-block tuple: fresh copies land in blocks
     # k+2 .. 2k+2, then get substituted.
-    tg = shift_tau_whole(g, k + 1)
+    tg = shift_tau(g, stride=k + 1)
     assignment = {}
     for j in range(1, k + 1):
         assignment[k + 1 + j] = tuple(block_jet(var, j + 1) for var in range(n))
@@ -371,25 +331,12 @@ def section_map(f_tuple, g: DeltaPoly, k: int) -> SectionMap:
     return SectionMap(tuple(coords), k, n)
 
 
-def shift_tau_whole(f: DeltaPoly, num_blocks: int) -> DeltaPoly:
-    """Prolongation of a polynomial regarded over the whole tuple of
-    `num_blocks` blocks at once: every jet of block i gets a fresh copy in
-    block i + num_blocks. This is the block-shift derivation with stride equal
-    to the block count."""
-    return shift_tau(f, stride=num_blocks)
-
-
 def section_point(f_tuple, g: DeltaPoly, k: int, point):
     """The distinguished point (a, D'a, ..., D'^k a, 1/g(...)) as a block
     assignment for blocks 1..k+2. Raises EvaluationSingular when g vanishes
     there."""
     ctx = g.ctx
-    dvec = dee_vector(ctx)
-    blocks = {1: tuple(point)}
-    cur = tuple(point)
-    for i in range(2, k + 2):
-        cur = tuple(derive_base(a, dvec) for a in cur)
-        blocks[i] = cur
+    blocks = nabla_point(ctx, point, k)
     gval = eval_at_blocks(g, {b: blocks[b] for b in g.blocks()}) if g.blocks() else g.constant_part()
     inv = gval.inverse()
     blocks[k + 2] = tuple(inv for _ in range(ctx.n))

@@ -4,11 +4,14 @@ identities, the block-shift derivation on the jet ring, nabla-point
 evaluation, power-cofactor extraction, certificate-based radical transfer,
 and derivation extension.
 
-Convention: iterated tau is realized by a single shift derivation on the
+Convention: tau and its iterates are one shift derivation on the
 block-indexed jet ring, mapping every jet of block i to the same jet of
-block i+1 and acting as D on coefficients. At nabla points the blocks are
-evaluated as x_i -> D^(i-1)(a). Under this convention the power-cofactor
-identity
+block i+1 and acting as D on coefficients; tau is that derivation restricted
+to block-1 polynomials. The Jacobian form of tau (df . theta y plus the
+coefficient derivative) is assembled only in first_order_expand, as the
+independent reference the first-order identity compares against. At nabla
+points the blocks are evaluated as x_i -> D^(i-1)(a). Under this convention
+the power-cofactor identity
 
     shift^k(f^k) = k! * (tau f)^k + f * p
 
@@ -26,11 +29,14 @@ from .deltaring import (
     Context,
     DeltaPoly,
     Jet,
+    accumulate,
     apply_delta,
     apply_op,
     as_multipoly,
     eval_at_blocks,
     from_multipoly,
+    leibniz,
+    mono_lower,
     mono_make,
     sort_key,
     substitute_blocks,
@@ -79,22 +85,9 @@ def partial_jet(f: DeltaPoly, u: Jet) -> DeltaPoly:
     terms = {}
     for mono, c in f.terms.items():
         for idx, (jet, p) in enumerate(mono):
-            if jet != u:
-                continue
-            rest = list(mono)
-            if p == 1:
-                del rest[idx]
-            else:
-                rest[idx] = (jet, p - 1)
-            key = mono_make(rest)
-            s = terms.get(key)
-            cc = c * p
-            s = cc if s is None else s + cc
-            if s:
-                terms[key] = s
-            elif key in terms:
-                del terms[key]
-            break
+            if jet == u:
+                accumulate(terms, mono_make(mono_lower(mono, idx)), c * p)
+                break
     return DeltaPoly(f.ctx, terms)
 
 
@@ -103,22 +96,6 @@ class Jacobian:
     """Finitely supported map jet -> d f_hat / d t_jet, all entries nonzero."""
 
     entries: dict
-
-    def support(self):
-        return sorted(self.entries, key=sort_key)
-
-    def get(self, u: Jet, default=None):
-        return self.entries.get(u, default)
-
-    def dot(self, image) -> DeltaPoly:
-        """Sum of entry(u) * image(u) over the support."""
-        out = None
-        for u, e in self.entries.items():
-            term = e * image(u)
-            out = term if out is None else out + term
-        if out is None:
-            raise ValueError("empty Jacobian has no context; handle separately")
-        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,9 +108,6 @@ class Hessian:
     def entry(self, u: Jet, v: Jet):
         key = (u, v) if sort_key(u) <= sort_key(v) else (v, u)
         return self.entries.get(key)
-
-    def pairs(self):
-        return sorted(self.entries, key=lambda uv: (sort_key(uv[0]), sort_key(uv[1])))
 
 
 def jacobian(f: DeltaPoly) -> Jacobian:
@@ -167,17 +141,13 @@ def shift_block(u: Jet, stride: int = 1) -> Jet:
 
 
 def tau(f: DeltaPoly) -> DeltaPoly:
-    """Relative prolongation of a block-1 polynomial: the Jacobian dotted
-    with the block-2 copies of its support jets, plus the coefficient-derived
-    part. Sends every jet theta(x) to theta(y) and every constant c to Dc."""
+    """Relative prolongation of a block-1 polynomial: the shift derivation
+    restricted to block 1. Sends every jet theta(x) to theta(y) and every
+    constant c to Dc; first_order_expand assembles the same value from the
+    Jacobian."""
     if any(b != 1 for b in f.blocks()):
         raise ValueError("tau expects a block-1 polynomial; use shift_tau for jets")
-    ctx = f.ctx
-    out = coeff_derive(f, dee_vector(ctx))
-    for u, e in jacobian(f).entries.items():
-        y = shift_block(u)
-        out = out + e * DeltaPoly(ctx, {((y, 1),): ctx.field.one()})
-    return out
+    return shift_tau(f)
 
 
 def tau_at(f: DeltaPoly, point) -> DeltaPoly:
@@ -194,36 +164,13 @@ def tau_pair_eval(f: DeltaPoly, a, b) -> BaseFieldElement:
 def shift_tau(f: DeltaPoly, stride: int = 1) -> DeltaPoly:
     """The shift derivation on the block-indexed jet ring: jets of block i
     map to the same jets of block i+stride, coefficients map through D.
-    Restricted to block-1 polynomials (stride 1) it agrees with tau; it
-    commutes with every structural derivation.
+    Restricted to block-1 polynomials (stride 1) it is tau; it commutes with
+    every structural derivation.
 
     stride > 1 exists only to express the rejected nested-pairing bookkeeping
     in regression tests and the whole-tuple prolongation of multi-block
     systems (where the stride is the block count)."""
-    ctx = f.ctx
-    terms = {}
-
-    def add(mono, c):
-        if not c:
-            return
-        s = terms.get(mono)
-        s = c if s is None else s + c
-        if s:
-            terms[mono] = s
-        elif mono in terms:
-            del terms[mono]
-
-    dvec = dee_vector(ctx)
-    for mono, c in f.terms.items():
-        for idx, (jet, p) in enumerate(mono):
-            rest = list(mono)
-            if p == 1:
-                del rest[idx]
-            else:
-                rest[idx] = (jet, p - 1)
-            add(mono_make(rest + [(shift_block(jet, stride), 1)]), c * p)
-        add(mono, derive_base(c, dvec))
-    return DeltaPoly(ctx, terms)
+    return leibniz(f, lambda jet: shift_block(jet, stride), dee_vector(f.ctx))
 
 
 # -- second-order expansion ----------------------------------------------------

@@ -21,6 +21,7 @@ from .prolong import (
     MAX_COFACTOR_K,
     Certificate,
     CertificateInvalid,
+    PreconditionFailed,
     Verified,
     apply_op,
     check_first_order,
@@ -201,7 +202,7 @@ def check_torsor(seed: int = 0, cases: int = 50) -> CheckOutcome:
         c_pt = tuple(derive_base(x, dvec) for x in a)
         try:
             _, verdict = torsor_act(V, a, b, c_pt)
-        except Exception as e:
+        except PreconditionFailed as e:
             out.failures.append(f"case {case}: torsor preconditions failed: {e}")
             continue
         if not verdict:
@@ -250,7 +251,7 @@ def check_exten5(seed: int = 0, cases: int = 50) -> CheckOutcome:
         b = tuple(b)
         try:
             ext = extend_derivation(A, a, b, ctx=ctx)
-        except Exception as e:
+        except PreconditionFailed as e:
             out.failures.append(f"case {case}: preconditions unexpectedly failed: {e}")
             continue
         f = sample_poly(rng, ctx, max_terms=3)

@@ -10,7 +10,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .deltaring import Context, DeltaPoly, DerivOp, Jet, apply_delta, rank_enumerate
+from .deltaring import (
+    Context,
+    DeltaPoly,
+    DerivOp,
+    Jet,
+    apply_delta,
+    rank_enumerate,
+    substitute,
+)
 from .fields import BaseFieldSpec, DerivationVector, derive_base
 
 
@@ -189,13 +197,7 @@ def rewrite_jets(f: DeltaPoly, M: RationalMatrix) -> DeltaPoly:
             terms[((jet, 1),)] = ctx.field.rational(c)
         return DeltaPoly(ctx, terms)
 
-    out = ctx.zero()
-    for mono, c in f.terms.items():
-        term = ctx.const(c)
-        for jet, p in mono:
-            term = term * jet_image(jet) ** p
-        out = out + term
-    return out
+    return substitute(f, jet_image)
 
 
 def kolchin_matrix(Mp: RationalMatrix, r: int, m: int, N: RationalMatrix) -> RationalMatrix:

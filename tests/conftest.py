@@ -1,8 +1,18 @@
 """Shared concrete models for the test suite."""
 
+from random import Random
+
 import pytest
 
 from diffalg import Context, base_field, rationals_field
+from diffalg.sampling import sample_poly
+
+# (generators, tables) of fields whose D moves a generator
+MOVING_D_TABLES = (
+    (["t"], [["t"]]),
+    (["t", "u"], [["1", "0"], ["0", "u"]]),
+    (["t1", "t2"], [["1", "0"], ["0", "t2"]]),
+)
 
 
 @pytest.fixture
@@ -53,3 +63,23 @@ def ctx_qt(qt):
 @pytest.fixture
 def ctx_qtu(qtu):
     return Context.standard(qtu, 2)
+
+
+@pytest.fixture
+def moving_d_polys():
+    """(context, f) pairs: seeded block-1 polynomials with rational-function
+    coefficients, over fields whose D moves a generator."""
+    rng = Random(41)
+    out = []
+    for gens, tables in MOVING_D_TABLES:
+        ctx = Context.standard(base_field(gens, tables), 2)
+        for _ in range(15):
+            out.append((ctx, sample_poly(rng, ctx, max_terms=4, denominators=True)))
+    return out
+
+
+@pytest.fixture
+def stored_terms():
+    """Maps a DeltaPoly to its coefficients as stored: monomial -> (numerator
+    terms, denominator terms)."""
+    return lambda f: {m: (c.rf.num.terms, c.rf.den.terms) for m, c in f.terms.items()}

@@ -201,6 +201,22 @@ BAD_DOCUMENTS = [
     ("point_string", ["fiber", "--point", "a"],
      {**BASE, "polys": ["x1 - t"], "points": {"a": "tt"}}),
     ("points_list", ["tau"], {**BASE, "polys": ["x1 - t"], "points": ["t"]}),
+    ("base_list", ["tau"], {"m": 1, "n": 1, "base": [], "polys": ["x1"]}),
+    ("table_row_number", ["tau"],
+     {"m": 0, "n": 1, "base": {"generators": ["t"], "tables": [5]}, "polys": ["x1"]}),
+    ("table_row_string", ["tau"],
+     {"m": 0, "n": 1, "base": {"generators": ["t"], "tables": ["1"]}, "polys": ["x1"]}),
+    ("tables_string", ["tau"],
+     {"m": 1, "n": 1, "base": {"generators": ["t"], "tables": "10"}, "polys": ["x1"]}),
+    ("generators_string", ["tau"],
+     {"m": 1, "n": 1, "base": {"generators": "tu", "tables": [["1", "0"], ["0", "u"]]},
+      "polys": ["x1"]}),
+    ("generators_numbers", ["tau"],
+     {"m": 1, "n": 1, "base": {"generators": [1], "tables": [["1"], ["0"]]},
+      "polys": ["x1"]}),
+    ("duplicate_generators", ["tau"],
+     {"m": 1, "n": 1, "base": {"generators": ["t", "t"], "tables": [["1", "0"], ["0", "1"]]},
+      "polys": ["x1"]}),
 ]
 BAD_ARGVS = [
     ["check", "radic1", "--k", "0", "--cases", "3"],
@@ -238,3 +254,31 @@ def test_radic2_fault_is_not_a_witness():
 
     with pytest.raises(ValueError):
         check_radic2(seed=0, cases=4, k_max=4)
+
+
+GUARDED_CALLS = [("torsor", "torsor_act"), ("exten5", "extend_derivation")]
+
+
+@pytest.mark.parametrize("battery,target", GUARDED_CALLS, ids=[g[0] for g in GUARDED_CALLS])
+def test_battery_fault_is_not_a_witness(monkeypatch, battery, target):
+    from diffalg import selfcheck
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("implementation fault")
+
+    monkeypatch.setattr(selfcheck, target, broken)
+    with pytest.raises(RuntimeError):
+        selfcheck.CHECKS[battery](seed=0, cases=2)
+
+
+@pytest.mark.parametrize("battery,target", GUARDED_CALLS, ids=[g[0] for g in GUARDED_CALLS])
+def test_battery_precondition_is_a_witness(monkeypatch, battery, target):
+    from diffalg import PreconditionFailed, selfcheck
+
+    def refuses(*args, **kwargs):
+        raise PreconditionFailed("refused")
+
+    monkeypatch.setattr(selfcheck, target, refuses)
+    outcome = selfcheck.CHECKS[battery](seed=0, cases=2)
+    assert len(outcome.failures) == 2
+    assert all("refused" in fail for fail in outcome.failures)

@@ -11,6 +11,7 @@ from diffalg import (
     PreconditionFailed,
     VarietySystem,
     WitnessMissing,
+    coeff_derive,
     component_fiber_check,
     derive_base,
     is_D_constant,
@@ -19,9 +20,11 @@ from diffalg import (
     section_contains,
     section_map,
     tangent_system,
+    tau,
     torsor_act,
 )
 from diffalg.geometry import DCF_CAVEAT
+from diffalg.prolong import dee_vector
 from diffalg.sampling import sample_point, sample_poly, sample_scalar
 
 
@@ -63,6 +66,15 @@ class TestSystems:
         tg = tangent_system(VarietySystem((f,)))
         pr = prolongation_system(VarietySystem((f,)))
         assert tg.pairs[0][1] == pr.pairs[0][1]
+
+    def test_tangent_part_is_tau_minus_coefficient_part(self, moving_d_polys, stored_terms):
+        for ctx, g in moving_d_polys:
+            if not g:
+                continue
+            (_, linear), = tangent_system(VarietySystem((g,))).pairs
+            expected = tau(g) - coeff_derive(g, dee_vector(ctx))
+            assert linear == expected
+            assert stored_terms(linear) == stored_terms(expected)
 
     def test_generators_validated(self, ctx_qd):
         with pytest.raises(ValueError):

@@ -20,6 +20,7 @@ from diffalg import (
     eval_at_blocks,
     extend_derivation,
     evaluate,
+    first_order_expand,
     hessian,
     jacobian,
     nabla_eval,
@@ -113,6 +114,13 @@ class TestTau:
             assert tau(f + g) == tau(f) + tau(g)
             for i in range(ctx.num_ops):
                 assert tau(apply_delta(i, f)) == apply_delta(i, tau(f))
+
+    def test_agrees_with_jacobian_form(self, moving_d_polys, stored_terms):
+        # the Jacobian assembly is the independent oracle for the shift form
+        for ctx, f in moving_d_polys:
+            expected = first_order_expand(f, ctx.num_ops)
+            assert tau(f) == expected
+            assert stored_terms(tau(f)) == stored_terms(expected)
 
 
 class TestExpansions:
