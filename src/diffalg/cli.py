@@ -86,11 +86,11 @@ def load_document(path: str) -> SystemDocument:
     except json.JSONDecodeError as e:
         raise InputError(f"invalid JSON in {path}: {e}") from e
     try:
-        m = int(raw["m"])
-        n = int(raw["n"])
-        base = raw["base"]
-    except (KeyError, TypeError, ValueError) as e:
+        m, n, base = raw["m"], raw["n"], raw["base"]
+    except (KeyError, TypeError) as e:
         raise InputError(f"malformed system document: {e}") from e
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (m, n)):
+        raise InputError("m and n must be JSON integers")
     if m < 0 or n < 0:
         raise InputError("m and n must be non-negative")
     if not isinstance(base, dict):
@@ -134,6 +134,8 @@ def _string_list(value, what: str) -> tuple:
 
 
 def parse_matrix_data(data) -> RationalMatrix:
+    if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
+        raise InputError("a matrix must be a list of rows, each a list")
     try:
         return RationalMatrix(tuple(
             tuple(parse_fraction(v) for v in row) for row in data
@@ -142,12 +144,20 @@ def parse_matrix_data(data) -> RationalMatrix:
         raise InputError(f"malformed matrix: {e}") from e
 
 
-def parse_matrix_arg(text: str, doc: SystemDocument | None) -> RationalMatrix:
-    if text is None:
-        if doc is not None and doc.matrix is not None:
-            return doc.matrix
+def parse_matrix_arg(text: str | None, doc: SystemDocument) -> RationalMatrix:
+    """The --matrix argument (inline JSON rows or a JSON file path), or the
+    document's matrix when it is absent; either must be square of size m+1."""
+    M = doc.matrix if text is None else _read_matrix(text.strip())
+    if M is None:
         raise InputError("no matrix given (use --matrix or a 'matrix' field)")
-    text = text.strip()
+    size = doc.m + 1
+    if M.size != (size, size):
+        raise InputError(f"the matrix must be square of size m+1 = {size}, "
+                         f"not {M.size[0]}x{M.size[1]}")
+    return M
+
+
+def _read_matrix(text: str) -> RationalMatrix:
     if text.startswith("["):
         try:
             return parse_matrix_data(json.loads(text))

@@ -177,14 +177,10 @@ class MultiPoly:
                 terms[m] = s
             elif m in terms:
                 del terms[m]
-        out = MultiPoly(self.vars)
-        out.terms = terms
-        return out
+        return _wrap(self.vars, terms)
 
     def __neg__(self):
-        out = MultiPoly(self.vars)
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
+        return _wrap(self.vars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -205,23 +201,17 @@ class MultiPoly:
                     terms[m] = s
                 elif m in terms:
                     del terms[m]
-        out = MultiPoly(self.vars)
-        out.terms = terms
-        return out
+        return _wrap(self.vars, terms)
 
     def scale(self, c):
         if not c:
             return MultiPoly(self.vars)
-        out = MultiPoly(self.vars)
-        out.terms = {m: co * c for m, co in self.terms.items()}
-        return out
+        return _wrap(self.vars, {m: co * c for m, co in self.terms.items()})
 
     def mul_term(self, mono, coeff):
         if not coeff:
             return MultiPoly(self.vars)
-        out = MultiPoly(self.vars)
-        out.terms = {mono_mul(m, mono): c * coeff for m, c in self.terms.items()}
-        return out
+        return _wrap(self.vars, {mono_mul(m, mono): c * coeff for m, c in self.terms.items()})
 
     def __pow__(self, k):
         if k < 0:
@@ -241,9 +231,7 @@ class MultiPoly:
                 continue
             d[index] = e - 1
             terms[mono_from_pairs(d.items())] = c * e
-        out = MultiPoly(self.vars)
-        out.terms = terms
-        return out
+        return _wrap(self.vars, terms)
 
     # -- printing ----------------------------------------------------------
 
@@ -276,6 +264,13 @@ class MultiPoly:
         return " + ".join(parts)
 
 
+def _wrap(vars, terms) -> MultiPoly:
+    """A MultiPoly owning `terms`, which must hold no zero coefficient."""
+    out = MultiPoly(vars)
+    out.terms = terms
+    return out
+
+
 # -- division and Groebner machinery ----------------------------------------
 
 
@@ -306,25 +301,62 @@ class Limits:
 def division(f: MultiPoly, divisors, order: MonomialOrder = DEGREVLEX):
     """Multivariate division: returns (quotients, remainder) with
     f = sum(q_i * divisors_i) + remainder and no remainder term divisible by
-    any divisor's leading monomial."""
+    any divisor's leading monomial.
+
+    The kernel works in place on one term dict. Each monomial's order key is
+    built at most once per call. A step pops the leading term, records it in
+    a quotient or in the remainder, and subtracts gc*q from the working
+    coefficient of every non-leading divisor term; the leading term cancels
+    exactly and is never formed. Every coefficient sees the same operations
+    in the same order as the textbook loop that subtracts whole polynomials
+    (work[m] - gc*q, or -(gc*q) for a new term), so the result is the same
+    term by term for any exact coefficient field.
+    """
     n = len(f.vars)
-    leads = [g.leading(order) for g in divisors]
-    quotients = [MultiPoly.zero(f.vars) for _ in divisors]
-    remainder = MultiPoly.zero(f.vars)
-    work = f
+    keys = {}
+
+    def keyed(monos):
+        for m in monos:
+            if m not in keys:
+                keys[m] = order.key(m, n)
+
+    leads = []
+    tails = []
+    for g in divisors:
+        keyed(g.terms)
+        lm = max(g.terms, key=keys.__getitem__)
+        leads.append((lm, g.terms[lm]))
+        tails.append([(gm, gc) for gm, gc in g.terms.items() if gm != lm])
+    quotients = [{} for _ in divisors]
+    remainder = {}
+    work = dict(f.terms)
+    keyed(work)
     while work:
-        m, c = work.leading(order)
+        m = max(work, key=keys.__getitem__)
+        c = work.pop(m)
         for i, (lm, lc) in enumerate(leads):
             if mono_divides(lm, m):
                 t = mono_div(m, lm)
                 q = c / lc
-                quotients[i] += MultiPoly(f.vars, {t: q})
-                work = work - divisors[i].mul_term(t, q)
+                quotients[i][t] = q
+                for gm, gc in tails[i]:
+                    mm = mono_mul(gm, t)
+                    p = gc * q
+                    w = work.get(mm)
+                    if w is None:
+                        work[mm] = -p
+                        if mm not in keys:
+                            keys[mm] = order.key(mm, n)
+                    else:
+                        w = w - p
+                        if w:
+                            work[mm] = w
+                        else:
+                            del work[mm]
                 break
         else:
-            remainder += MultiPoly(f.vars, {m: c})
-            work = work - MultiPoly(f.vars, {m: c})
-    return quotients, remainder
+            remainder[m] = c
+    return [_wrap(f.vars, q) for q in quotients], _wrap(f.vars, remainder)
 
 
 def normal_form(f: MultiPoly, basis, order: MonomialOrder = DEGREVLEX) -> MultiPoly:
@@ -451,12 +483,13 @@ def _as_univariate(p: MultiPoly, v: int):
     """Coefficients of p viewed as a univariate polynomial in variable v."""
     coeffs = {}
     for m, c in p.terms.items():
-        d = dict(m)
-        e = d.pop(v, 0)
-        rest = mono_from_pairs(d.items())
-        cur = coeffs.setdefault(e, MultiPoly.zero(p.vars))
-        coeffs[e] = cur + MultiPoly(p.vars, {rest: c})
-    return {e: q for e, q in coeffs.items() if q}
+        e, rest = 0, m
+        for k, (i, ei) in enumerate(m):
+            if i == v:
+                e, rest = ei, m[:k] + m[k + 1:]
+                break
+        coeffs.setdefault(e, {})[rest] = c
+    return {e: _wrap(p.vars, terms) for e, terms in coeffs.items()}
 
 
 def _pseudo_rem(a: MultiPoly, b: MultiPoly, v: int) -> MultiPoly:
@@ -530,9 +563,7 @@ _ONE = Fraction(1)
 
 def _unit(vars) -> MultiPoly:
     """The constant polynomial 1 over the registry `vars`."""
-    out = MultiPoly(vars)
-    out.terms = {MONO_ONE: _ONE}
-    return out
+    return _wrap(vars, {MONO_ONE: _ONE})
 
 
 class RationalFunction:
@@ -548,6 +579,14 @@ class RationalFunction:
     Arithmetic and equality use the cross-multiplication formulas with every
     product by a denominator 1 skipped, so values with denominator 1 are
     added, multiplied, compared and differentiated on numerators alone.
+
+    `_normalize` is idempotent on a stored pair, and its result does not
+    change when the numerator is scaled by a nonzero rational: the monomial
+    content, the gcd and the denominator's content all stay as they are.
+    So these operations store their pair as given, without normalising:
+    `-r` is (-num, den); `r.scale(q)` with q != 0 is (q*num, den); `r + 0`
+    and `0 + r` are r; `r * c` and `c * r` with c a constant in Q are
+    `r.scale(c)`. The pairs are the ones the full constructor would store.
     """
 
     __slots__ = ("num", "den")
@@ -607,6 +646,15 @@ class RationalFunction:
         return num, den
 
     @classmethod
+    def _stored(cls, num: MultiPoly, den: MultiPoly) -> "RationalFunction":
+        """The value with the pair (num, den) stored as given; the pair must
+        already be a fixed point of the constructor."""
+        out = object.__new__(cls)
+        out.num = num
+        out.den = den
+        return out
+
+    @classmethod
     def const(cls, vars, q):
         return cls(MultiPoly.constant(vars, Fraction(q)))
 
@@ -641,17 +689,27 @@ class RationalFunction:
 
     def __add__(self, other):
         self._check(other)
+        if not other.num:
+            return self
+        if not self.num:
+            return other
         return RationalFunction(_times_den(self.num, other) + _times_den(other.num, self),
                                 _times_den(self.den, other))
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den)
+        return RationalFunction._stored(-self.num, self.den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         self._check(other)
+        c = _rational_value(other)
+        if c is not None:
+            return self.scale(c)
+        c = _rational_value(self)
+        if c is not None:
+            return other.scale(c)
         return RationalFunction(self.num * other.num, _times_den(self.den, other))
 
     def __truediv__(self, other):
@@ -666,7 +724,10 @@ class RationalFunction:
         return RationalFunction(self.den, self.num)
 
     def scale(self, q):
-        return RationalFunction(self.num.scale(Fraction(q)), self.den)
+        q = Fraction(q)
+        if not q:
+            return RationalFunction(MultiPoly(self.vars))
+        return RationalFunction._stored(self.num.scale(q), self.den)
 
     def __pow__(self, k):
         if k < 0:
@@ -687,6 +748,18 @@ class RationalFunction:
         if self.is_polynomial():
             return repr(self.num)
         return f"({self.num!r})/({self.den!r})"
+
+
+def _rational_value(r: RationalFunction):
+    """The value of r as a Fraction when r is a constant in Q, else None."""
+    if not r.is_polynomial():
+        return None
+    terms = r.num.terms
+    if not terms:
+        return Fraction(0)
+    if len(terms) == 1 and MONO_ONE in terms:
+        return terms[MONO_ONE]
+    return None
 
 
 def _times_den(p: MultiPoly, r: RationalFunction) -> MultiPoly:

@@ -217,6 +217,14 @@ BAD_DOCUMENTS = [
     ("duplicate_generators", ["tau"],
      {"m": 1, "n": 1, "base": {"generators": ["t", "t"], "tables": [["1", "0"], ["0", "1"]]},
       "polys": ["x1"]}),
+    ("m_float", ["tau"], {**BASE, "m": 1.9, "polys": ["x1 - t"]}),
+    ("m_bool", ["tau"], {**BASE, "m": True, "polys": ["x1 - t"]}),
+    ("m_string", ["tau"], {**BASE, "m": "1", "polys": ["x1 - t"]}),
+    ("matrix_string", ["transform"], {**BASE, "polys": ["x1"], "matrix": "12"}),
+    ("matrix_rows_strings", ["transform"], {**BASE, "polys": ["x1"], "matrix": ["12", "34"]}),
+    ("matrix_wrong_size", ["axiom-instance"],
+     {**BASE, "polys": ["x1"], "matrix": [["1"]], "w": ["x1"]}),
+    ("matrix_arg_wrong_size", ["transform", "--matrix", '[["1"]]'], {**BASE, "polys": ["x1"]}),
 ]
 BAD_ARGVS = [
     ["check", "radic1", "--k", "0", "--cases", "3"],
@@ -224,6 +232,12 @@ BAD_ARGVS = [
     ["check", "radic2", "--k", "-1"],
     ["check", "exten1", "--cases", "-3"],
     ["check", "exten1", "--cases", "0"],
+]
+BAD_MATRIX_ARGS = [
+    ("transform", "fulljet.json", '[["1"]]'),
+    ("transform", "fulljet.json", '[["1","0"]]'),
+    ("axiom-instance", "axiom.json", "[]"),
+    ("axiom-instance", "axiom.json", '["10","01"]'),
 ]
 
 
@@ -247,6 +261,13 @@ def test_bad_document_exits_2(tmp_path, capsys, name, command, doc):
 @pytest.mark.parametrize("argv", BAD_ARGVS, ids=[" ".join(a) for a in BAD_ARGVS])
 def test_bad_check_argument_exits_2(capsys, argv):
     assert_one_error_line(capsys, main(argv))
+
+
+@pytest.mark.parametrize("command,doc,matrix", BAD_MATRIX_ARGS,
+                         ids=[" ".join(a) for a in BAD_MATRIX_ARGS])
+def test_bad_matrix_argument_exits_2(capsys, command, doc, matrix):
+    code = main([command, "--input", str(INPUTS / doc), "--matrix", matrix])
+    assert_one_error_line(capsys, code)
 
 
 def test_radic2_fault_is_not_a_witness():

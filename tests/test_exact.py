@@ -1,6 +1,7 @@
 """Exact arithmetic: polynomials, division, Groebner bases, rational functions."""
 
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -10,17 +11,21 @@ from diffalg.exact import (
     DEGREVLEX,
     LEX,
     DivisionFails,
+    MonomialOrder,
     LimitExceeded,
     Limits,
     Membership,
     MultiPoly,
     RationalFunction,
+    division,
     groebner_basis,
     ideal_member,
     normal_form,
     poly_divide_exact,
     poly_gcd,
 )
+from diffalg.exact import mono_div, mono_divides, mono_mul
+from diffalg.sampling import sample_scalar
 
 VARS = ("a", "b")
 
@@ -237,6 +242,140 @@ class TestPolynomialFastPath:
         for i in range(len(VARS)):
             expected = RationalFunction(a.partial(i) * b - a * b.partial(i), b * b)
             assert stored(r1.partial(i)) == stored(expected)
+
+
+rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
+
+
+class TestStoredShortcuts:
+    """Negation, scaling by a rational, adding 0 and multiplying by a
+    constant in Q store their pair without normalising; the pair must be the
+    one the full constructor stores."""
+
+    @given(multipolys(), denominators, rationals)
+    @settings(max_examples=80, deadline=None)
+    def test_shortcuts_are_fixed_points(self, n, d, q):
+        r = RationalFunction(n, d)
+        zero, c = RationalFunction.const(VARS, 0), RationalFunction.const(VARS, q)
+        same = stored(RationalFunction(r.num, r.den))
+        scaled = stored(RationalFunction(r.num.scale(q), r.den))
+        assert stored(-r) == stored(RationalFunction(-r.num, r.den))
+        assert stored(r.scale(q)) == scaled
+        assert stored(r + zero) == same
+        assert stored(zero + r) == same
+        assert stored(r * c) == scaled
+        assert stored(c * r) == scaled
+
+
+def _reference_division(f, divisors, order=DEGREVLEX):
+    """The textbook division loop on whole polynomials, as an oracle for the
+    in-place kernel."""
+    leads = [g.leading(order) for g in divisors]
+    quotients = [MultiPoly.zero(f.vars) for _ in divisors]
+    remainder = MultiPoly.zero(f.vars)
+    work = f
+    while work:
+        m, c = work.leading(order)
+        for i, (lm, lc) in enumerate(leads):
+            if mono_divides(lm, m):
+                t = mono_div(m, lm)
+                q = c / lc
+                quotients[i] += MultiPoly(f.vars, {t: q})
+                work = work - divisors[i].mul_term(t, q)
+                break
+        else:
+            remainder += MultiPoly(f.vars, {m: c})
+            work = work - MultiPoly(f.vars, {m: c})
+    return quotients, remainder
+
+
+ORDERS = [DEGREVLEX, LEX, MonomialOrder("lex", priority=(1, 0)),
+          MonomialOrder("degrevlex", priority=(1, 0))]
+
+
+class TestDivisionOracle:
+    @given(multipolys(max_terms=6), st.lists(multipolys().filter(bool), min_size=1, max_size=2),
+           st.sampled_from(ORDERS))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_reference_over_q(self, f, divisors, order):
+        quotients, remainder = division(f, divisors, order)
+        ref_quotients, ref_remainder = _reference_division(f, divisors, order)
+        assert [q.terms for q in quotients] == [q.terms for q in ref_quotients]
+        assert remainder.terms == ref_remainder.terms
+
+    @given(multipolys(), multipolys().filter(bool), multipolys().filter(bool))
+    @settings(max_examples=60, deadline=None)
+    def test_division_fails_carries_reference_remainder(self, f, g, h):
+        _, ref_remainder = _reference_division(f * h + g, [h])
+        try:
+            poly_divide_exact(f * h + g, h)
+        except DivisionFails as e:
+            assert e.remainder.terms == ref_remainder.terms
+        else:
+            assert not ref_remainder
+
+    def test_matches_reference_over_moving_field(self, qtu, stored_terms):
+        rng = Random(17)
+
+        def poly(max_terms):
+            terms = {}
+            for _ in range(rng.randint(1, max_terms)):
+                mono = tuple((i, e) for i in range(len(VARS)) if (e := rng.randint(0, 2)))
+                terms[mono] = sample_scalar(rng, qtu, degree=1, allow_zero=False,
+                                            denominators=True)
+            return MultiPoly(VARS, terms)
+
+        for case in range(40):
+            order = ORDERS[case % len(ORDERS)]
+            divisors = [poly(3) for _ in range(1 + case % 2)]
+            f = poly(3) * divisors[0] + (poly(2) if case % 3 else MultiPoly.zero(VARS))
+            quotients, remainder = division(f, divisors, order)
+            ref_quotients, ref_remainder = _reference_division(f, divisors, order)
+            for q, ref in zip(quotients, ref_quotients):
+                assert stored_terms(q) == stored_terms(ref)
+            assert stored_terms(remainder) == stored_terms(ref_remainder)
+            if len(divisors) == 1 and remainder:
+                with pytest.raises(DivisionFails) as e:
+                    poly_divide_exact(f, divisors[0], order)
+                assert stored_terms(e.value.remainder) == stored_terms(ref_remainder)
+
+
+class TestWorkCounts:
+    """Deterministic counts of the work the exact layer does."""
+
+    def test_shortcuts_never_normalise(self, monkeypatch):
+        r = RationalFunction(A * A + B, A * B + ONE + ONE)
+        zero, c = RationalFunction.const(VARS, 0), RationalFunction.const(VARS, Fraction(-3, 2))
+        calls = []
+        normalize = RationalFunction._normalize
+
+        def counted(num, den):
+            calls.append(1)
+            return normalize(num, den)
+
+        monkeypatch.setattr(RationalFunction, "_normalize", staticmethod(counted))
+        results = [-r, r.scale(Fraction(5, 7)), r + zero, zero + r, r * c, c * r]
+        assert not calls
+        RationalFunction(r.num, r.den)
+        assert len(calls) == 1
+        assert all(not x.is_polynomial() for x in results)
+
+    def test_division_builds_one_key_per_monomial(self, monkeypatch):
+        g = A * A * B + A * B * B - B + ONE
+        f = g * (A * A * A + B * B - A * B + ONE) * (A + B)
+        calls = []
+        key = MonomialOrder.key
+
+        def counted(self, mono, nvars):
+            calls.append(mono)
+            return key(self, mono, nvars)
+
+        monkeypatch.setattr(MonomialOrder, "key", counted)
+        q = poly_divide_exact(f, g)
+        met = set(f.terms) | set(g.terms)
+        met |= {mono_mul(gm, t) for t in q.terms for gm in g.terms}
+        assert len(calls) == len(set(calls))
+        assert set(calls) <= met
 
 
 class TestGcd:
