@@ -42,6 +42,7 @@ from .syntax import (
     parse_fraction,
     parse_poly,
     parse_scalar,
+    parse_scalar_rf,
     print_poly,
     scalar_text,
 )
@@ -103,8 +104,6 @@ def load_document(path: str) -> SystemDocument:
         raise InputError("base.tables must be a list of rows, each a list")
     if len(tables) != m + 1:
         raise InputError(f"base.tables must have m+1 = {m + 1} rows")
-    from .syntax import parse_scalar_rf
-
     rows = []
     for row in tables:
         if len(row) != len(generators):
@@ -136,6 +135,8 @@ def _string_list(value, what: str) -> tuple:
 def parse_matrix_data(data) -> RationalMatrix:
     if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
         raise InputError("a matrix must be a list of rows, each a list")
+    if not all(isinstance(v, str) for row in data for v in row):
+        raise InputError('matrix entries must be strings "p/q"')
     try:
         return RationalMatrix(tuple(
             tuple(parse_fraction(v) for v in row) for row in data
@@ -479,9 +480,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_input=True):
-        if needs_input:
-            p.add_argument("--input", required=True, help="system JSON file")
+    def add_common(p):
+        p.add_argument("--input", required=True, help="system JSON file")
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("tau", help="print tau of each polynomial")

@@ -12,7 +12,10 @@ derivations structural and have no designated D.
 
 Indeterminates carry a block index (default 1). Higher blocks are the fresh
 copies introduced by iterated prolongation; block arithmetic lives in
-prolong.py.
+prolong.py. A jet is the tuple (block, total order, var, r_k, ..., r_1), so
+the built-in tuple order is the jet order (block-major, then the orderly
+ranking), and monomials over jets are the sorted (jet, power) tuples of
+exact.py, built by its monomial routines.
 """
 
 from __future__ import annotations
@@ -20,8 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
+from operator import itemgetter
 
-from .exact import MONO_ONE, MultiPoly
+from .exact import MONO_ONE, MultiPoly, mono_degree, mono_from_pairs, mono_mul
 from .fields import BaseFieldElement, BaseFieldSpec, DerivationVector, derive_base
 
 
@@ -45,67 +49,63 @@ class DerivOp:
     def total(self) -> int:
         return sum(self.exps)
 
-    def is_identity(self) -> bool:
-        return self.total == 0
-
     def bump(self, i: int) -> "DerivOp":
         e = list(self.exps)
         e[i] += 1
         return DerivOp(tuple(e))
 
-    def mul(self, other: "DerivOp") -> "DerivOp":
-        return DerivOp(tuple(a + b for a, b in zip(self.exps, other.exps)))
 
+class Jet(tuple):
+    """A derivative indeterminate theta(x_var) in a given block, stored as
+    the tuple (block, total order, var, r_k, ..., r_1) of its operator
+    theta = (r_1, ..., r_k). Tuple order, equality and hashing are the jet
+    order: block-major, then the orderly ranking."""
 
-@dataclass(frozen=True)
-class Jet:
-    """A derivative indeterminate theta(x_var) in a given block."""
+    __slots__ = ()
 
-    op: DerivOp
-    var: int
-    block: int = 1
+    def __new__(cls, op: DerivOp, var: int, block: int = 1):
+        return tuple.__new__(cls, (block, op.total, var) + op.exps[::-1])
+
+    def __getnewargs__(self):
+        return self.op, self.var, self.block
+
+    block = property(itemgetter(0))
+    var = property(itemgetter(2))
+
+    @property
+    def op(self) -> DerivOp:
+        """The operator theta, rebuilt on every read."""
+        return DerivOp(self[:2:-1])
+
+    def __repr__(self):
+        return f"Jet({self.op!r}, {self.var}, {self.block})"
 
 
 def rank_key(u: Jet):
     """Key realizing the orderly ranking: compare by
     (total order, variable index, r_k, ..., r_1) lexicographically."""
-    return (u.op.total, u.var) + tuple(reversed(u.op.exps))
-
-
-def sort_key(u: Jet):
-    """Global deterministic order across blocks: block-major, then ranking."""
-    return (u.block,) + rank_key(u)
+    return u[1:]
 
 
 def rank_compare(u: Jet, v: Jet) -> int:
     """-1, 0, or 1 per the orderly ranking. Both jets must belong to the same
     block and have the same operator width."""
-    if len(u.op.exps) != len(v.op.exps):
+    if len(u) != len(v):
         raise ValueError("jets from different contexts")
     if u.block != v.block:
         raise ValueError("ranking compares jets within a single block")
-    a, b = rank_key(u), rank_key(v)
-    return (a > b) - (a < b)
+    return (u > v) - (u < v)
 
 
 def _ops_of_total(width: int, total: int):
-    """All exponent vectors of the given total, in ranking order (ascending
-    lexicographic on the reversed vector)."""
+    """All exponent vectors of the given width and total."""
     if width == 0:
         if total == 0:
             yield ()
         return
-
-    def compositions(slots, left):
-        if slots == 0:
-            if left == 0:
-                yield ()
-            return
-        for first in range(left + 1):
-            for rest in compositions(slots - 1, left - first):
-                yield (first,) + rest
-
-    yield from sorted(compositions(width, total), key=lambda e: tuple(reversed(e)))
+    for first in range(total + 1):
+        for rest in _ops_of_total(width - 1, total - first):
+            yield (first,) + rest
 
 
 class ContextError(ValueError):
@@ -199,46 +199,25 @@ def rank_enumerate(ctx: Context, count_: int):
         raise ValueError("only n order-zero indeterminates exist when m = 0")
     out = []
     for total in count(0):
-        for var in range(ctx.n):
-            for exps in _ops_of_total(ctx.num_ops, total):
-                out.append(Jet(DerivOp(exps), var, 1))
-                if len(out) == count_:
-                    return out
-    raise AssertionError("unreachable")
+        out += sorted(Jet(DerivOp(exps), var) for var in range(ctx.n)
+                      for exps in _ops_of_total(ctx.num_ops, total))
+        if len(out) >= count_:
+            return out[:count_]
 
 
 # -- monomials over jets -----------------------------------------------------
 
-# A monomial is a tuple of (Jet, power) pairs, sorted by sort_key, powers > 0.
+# A monomial is a tuple of (Jet, power) pairs, sorted by jet, powers > 0:
+# an exact.py monomial whose variables are jets, built by exact's routines.
 
 
-def mono_make(pairs):
-    merged = {}
-    for jet, p in pairs:
-        if p:
-            merged[jet] = merged.get(jet, 0) + p
-    return tuple(sorted(((j, p) for j, p in merged.items() if p),
-                        key=lambda it: sort_key(it[0])))
-
-
-def mono_mul(a, b):
-    return mono_make(list(a) + list(b))
-
-
-def mono_lower(mono, idx: int) -> list:
-    """The (jet, power) pairs of mono with the power of factor idx lowered by
-    one, dropping the factor when its power reaches zero."""
-    rest = list(mono)
-    jet, p = rest[idx]
+def mono_lower(mono, idx: int):
+    """mono with the power of factor idx lowered by one, dropping the factor
+    when its power reaches zero."""
+    jet, p = mono[idx]
     if p == 1:
-        del rest[idx]
-    else:
-        rest[idx] = (jet, p - 1)
-    return rest
-
-
-def mono_total_degree(mono) -> int:
-    return sum(p for _, p in mono)
+        return mono[:idx] + mono[idx + 1:]
+    return mono[:idx] + ((jet, p - 1),) + mono[idx + 1:]
 
 
 def mono_degree_in_block(mono, block: int) -> int:
@@ -246,12 +225,10 @@ def mono_degree_in_block(mono, block: int) -> int:
 
 
 def mono_flat_key(mono):
-    """Lexicographic comparison key: total degree, then the jet keys with
+    """Lexicographic comparison key: total degree, then the jets with
     multiplicity."""
-    flat = []
-    for jet, p in mono:
-        flat.extend([sort_key(jet)] * p)
-    return (mono_total_degree(mono), tuple(flat))
+    flat = tuple(jet for jet, p in mono for _ in range(p))
+    return len(flat), flat
 
 
 class DeltaPoly:
@@ -345,13 +322,13 @@ class DeltaPoly:
         jets = set()
         for m in self.terms:
             jets.update(j for j, _ in m)
-        return sorted(jets, key=sort_key)
+        return sorted(jets)
 
     def blocks(self):
         return sorted({j.block for j in self.support()})
 
     def total_degree(self) -> int:
-        return max((mono_total_degree(m) for m in self.terms), default=0)
+        return max((mono_degree(m) for m in self.terms), default=0)
 
     def degree_in_block(self, block: int) -> int:
         return max((mono_degree_in_block(m, block) for m in self.terms), default=0)
@@ -396,7 +373,7 @@ def leibniz(f: DeltaPoly, jet_image, vec: DerivationVector) -> DeltaPoly:
     terms = {}
     for mono, c in f.terms.items():
         for idx, (jet, p) in enumerate(mono):
-            image = mono_make(mono_lower(mono, idx) + [(jet_image(jet), 1)])
+            image = mono_mul(mono_lower(mono, idx), ((jet_image(jet), 1),))
             accumulate(terms, image, c * p)
         dc = derive_base(c, vec)
         if dc:
@@ -450,7 +427,7 @@ def from_multipoly(ctx: Context, mp: MultiPoly, support) -> DeltaPoly:
     """Inverse of as_multipoly over the same support list."""
     terms = {}
     for mono, c in mp.terms.items():
-        key = mono_make((support[i], p) for i, p in mono)
+        key = mono_from_pairs((support[i], p) for i, p in mono)
         terms[key] = c
     return DeltaPoly(ctx, terms)
 
@@ -469,13 +446,10 @@ class _OpCache:
     def jet_value(self, jet: Jet):
         if jet.block not in self.assignment:
             return None
-        key = (jet.block, jet.var, jet.op)
-        if key in self.cache:
-            return self.cache[key]
-        value = self.assignment[jet.block][jet.var]
-        out = self._apply_op(jet.op, value)
-        self.cache[key] = out
-        return out
+        if jet not in self.cache:
+            value = self.assignment[jet.block][jet.var]
+            self.cache[jet] = self._apply_op(jet.op, value)
+        return self.cache[jet]
 
     def _apply_op(self, op: DerivOp, value):
         if isinstance(value, BaseFieldElement):

@@ -17,7 +17,6 @@ from .deltaring import (
     Context,
     DeltaPoly,
     eval_at_blocks,
-    sort_key,
     substitute_blocks,
 )
 from .fields import derive_base
@@ -249,9 +248,7 @@ def component_fiber_check(
 
     fib_V = fiber_system(V, point)
     fib_i = fiber_system(components[i], point)
-    jets = sorted(
-        {j for p in fib_V + fib_i for j in p.support()}, key=sort_key
-    )
+    jets = sorted({j for p in fib_V + fib_i for j in p.support()})
     rows_V = _affine_rows(fib_V, ctx, jets)
     rows_i = _affine_rows(fib_i, ctx, jets)
     span_V = _row_reduce(rows_V)

@@ -37,8 +37,6 @@ from .deltaring import (
     from_multipoly,
     leibniz,
     mono_lower,
-    mono_make,
-    sort_key,
     substitute_blocks,
 )
 from .exact import DEGREVLEX, poly_divide_exact
@@ -86,7 +84,7 @@ def partial_jet(f: DeltaPoly, u: Jet) -> DeltaPoly:
     for mono, c in f.terms.items():
         for idx, (jet, p) in enumerate(mono):
             if jet == u:
-                accumulate(terms, mono_make(mono_lower(mono, idx)), c * p)
+                accumulate(terms, mono_lower(mono, idx), c * p)
                 break
     return DeltaPoly(f.ctx, terms)
 
@@ -106,7 +104,7 @@ class Hessian:
     entries: dict
 
     def entry(self, u: Jet, v: Jet):
-        key = (u, v) if sort_key(u) <= sort_key(v) else (v, u)
+        key = (u, v) if u <= v else (v, u)
         return self.entries.get(key)
 
 
@@ -306,7 +304,7 @@ def tau_power_cofactor(f: DeltaPoly, k: int, max_k: int = MAX_COFACTOR_K) -> Del
     for _ in range(k):
         acc = shift_tau(acc)
     target = acc - (tau(f) ** k).scale(factorial(k))
-    support = sorted(set(target.support()) | set(f.support()), key=sort_key)
+    support = sorted(set(target.support()) | set(f.support()))
     quotient = poly_divide_exact(
         as_multipoly(target, support), as_multipoly(f, support), DEGREVLEX
     )

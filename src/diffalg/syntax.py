@@ -5,12 +5,13 @@ canonical fragment):
 
     expr    := ['-'] term (('+'|'-') term)*
     term    := factor (('*'|'/') factor)*
-    factor  := primary ('^' nat)*
+    factor  := primary ('^' exp)*
     primary := number | jet | generator | '(' expr ')'
     jet     := deriv* var
-    deriv   := 'd' nat ('^' nat)? | 'D' ('^' nat)?
+    deriv   := 'd' nat ('^' exp)? | 'D' ('^' exp)?
     var     := 'x' nat | 'y' nat | 'x' nat '_' nat      (y = block 2, _b = block b)
     number  := nat
+    exp     := nat at most MAX_EXPONENT
 
 Derivation names commute, so 'd1 d2 x1' and 'd2 d1 x1' normalize to the same
 multi-index. 'D' jets are only valid in full-alphabet contexts. '/' performs
@@ -31,6 +32,11 @@ from fractions import Fraction
 from .deltaring import Context, DeltaPoly, DerivOp, Jet
 from .exact import MultiPoly, RationalFunction
 from .fields import BaseFieldElement, BaseFieldSpec
+
+
+# Largest exponent after '^' that the parser accepts, so that a short input
+# cannot ask for an unbounded number of multiplications.
+MAX_EXPONENT = 100
 
 
 class ParseError(Exception):
@@ -102,11 +108,14 @@ class _Stream:
         if t.kind != "op" or t.text != text:
             raise ParseError(f"expected {text!r}", t.pos)
 
-    def expect_nat(self) -> int:
+    def expect_exponent(self) -> int:
         t = self.next()
         if t.kind != "num":
             raise ParseError("expected a number", t.pos)
-        return int(t.text)
+        k = int(t.text)
+        if k > MAX_EXPONENT:
+            raise ParseError(f"exponent {k} exceeds {MAX_EXPONENT}", t.pos)
+        return k
 
 
 class _PolySemantics:
@@ -159,7 +168,7 @@ class _PolySemantics:
                 idx = self._deriv_index(t)
                 power = 1
                 if stream.accept_op("^"):
-                    power = stream.expect_nat()
+                    power = stream.expect_exponent()
                 exps[idx] += power
                 nxt = stream.next()
                 if nxt.kind != "name":
@@ -251,7 +260,7 @@ def _parse_term(stream: _Stream, sem):
 def _parse_factor(stream: _Stream, sem):
     value = _parse_primary(stream, sem)
     while stream.accept_op("^"):
-        value = sem.power(value, stream.expect_nat())
+        value = sem.power(value, stream.expect_exponent())
     return value
 
 
@@ -291,10 +300,8 @@ def parse_scalar(text: str, field: BaseFieldSpec) -> BaseFieldElement:
     return field.element(parse_scalar_rf(text, field.generators))
 
 
-def parse_fraction(text) -> Fraction:
-    if isinstance(text, (int, Fraction)):
-        return Fraction(text)
-    return Fraction(str(text).strip())
+def parse_fraction(text: str) -> Fraction:
+    return Fraction(text.strip())
 
 
 # -- printing -----------------------------------------------------------------
@@ -383,9 +390,8 @@ def _factor_text(jet: Jet, power: int, ctx: Context) -> str:
     jt = jet_text(jet, ctx)
     if power == 1:
         return jt
-    if jet.op.is_identity():
-        return f"{jt}^{power}"
-    return f"({jt})^{power}"
+    # the text of a jet has a space exactly when its operator is not the identity
+    return f"({jt})^{power}" if " " in jt else f"{jt}^{power}"
 
 
 def print_poly(f: DeltaPoly) -> str:

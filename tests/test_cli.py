@@ -225,6 +225,13 @@ BAD_DOCUMENTS = [
     ("matrix_wrong_size", ["axiom-instance"],
      {**BASE, "polys": ["x1"], "matrix": [["1"]], "w": ["x1"]}),
     ("matrix_arg_wrong_size", ["transform", "--matrix", '[["1"]]'], {**BASE, "polys": ["x1"]}),
+    ("matrix_bools", ["transform"],
+     {**BASE, "polys": ["x1"], "matrix": [[True, False], [False, True]]}),
+    ("matrix_floats", ["transform"], {**BASE, "polys": ["x1"], "matrix": [[0.1, 0], [0, 1]]}),
+    ("huge_exponent", ["tau"], {**BASE, "polys": ["x1^100000000"]}),
+    ("huge_table_exponent", ["tau"],
+     {"m": 1, "n": 1, "base": {"generators": ["t"], "tables": [["1"], ["t^100000000"]]},
+      "polys": ["x1"]}),
 ]
 BAD_ARGVS = [
     ["check", "radic1", "--k", "0", "--cases", "3"],
@@ -238,6 +245,7 @@ BAD_MATRIX_ARGS = [
     ("transform", "fulljet.json", '[["1","0"]]'),
     ("axiom-instance", "axiom.json", "[]"),
     ("axiom-instance", "axiom.json", '["10","01"]'),
+    ("transform", "fulljet.json", "[[true,false],[false,true]]"),
 ]
 
 

@@ -1,23 +1,81 @@
 """The differential polynomial ring: ranking, structural derivation, the
 algebraic view, and evaluation."""
 
+import pickle
+from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffalg import (
     Context,
     DerivOp,
+    Jet,
     algebraic_view,
     apply_delta,
     derive_base,
     evaluate,
     rank_compare,
     rank_enumerate,
+    print_poly,
     rationals_field,
 )
 from diffalg.deltaring import from_multipoly, rank_key
 from diffalg.sampling import sample_context, sample_point, sample_poly
+
+
+@st.composite
+def jet_triples(draw):
+    """A width and a list of (exps, var, block) triples of that width."""
+    width = draw(st.integers(0, 3))
+    triple = st.tuples(st.tuples(*[st.integers(0, 3)] * width),
+                       st.integers(0, 2), st.integers(1, 3))
+    return width, draw(st.lists(triple, min_size=1, max_size=10))
+
+
+def old_sort_key(exps, var, block):
+    """Block-major, then the orderly ranking: (total, var, r_k, ..., r_1)."""
+    return (block, sum(exps), var) + tuple(reversed(exps))
+
+
+class TestJetTuple:
+    @given(jet_triples())
+    @settings(max_examples=80, deadline=None)
+    def test_order_is_block_then_ranking(self, case):
+        _, triples = case
+        jets = [Jet(DerivOp(e), v, b) for e, v, b in triples]
+        got = [(u.op.exps, u.var, u.block) for u in sorted(jets)]
+        assert got == sorted(triples, key=lambda t: old_sort_key(*t))
+
+    @given(jet_triples())
+    @settings(max_examples=80, deadline=None)
+    def test_identity_equality_and_hash(self, case):
+        _, triples = case
+        jets = [Jet(DerivOp(e), v, b) for e, v, b in triples]
+        for u, (e, v, b) in zip(jets, triples):
+            assert (u.op, u.var, u.block) == (DerivOp(e), v, b)
+        for u, s in zip(jets, triples):
+            for w, t in zip(jets, triples):
+                assert (u == w) == (s == t)
+                if s == t:
+                    assert hash(u) == hash(w)
+
+    @given(jet_triples(), st.integers(1, 5))
+    @settings(max_examples=40, deadline=None)
+    def test_pickle_round_trip(self, case, c):
+        width, triples = case
+        ctx = Context.standard(rationals_field(width + 1), 3)
+        f = ctx.const(Fraction(1, c))
+        for e, v, b in triples:
+            f = f + ctx.jet_poly(v, DerivOp(e), b) * ctx.jet_poly(v, DerivOp(e), 1)
+        g = pickle.loads(pickle.dumps(f))
+        assert list(g.terms) == list(f.terms)
+        assert all(type(u) is Jet for mono in g.terms for u, _ in mono)
+        assert [c.rf.num.terms for c in g.terms.values()] == [
+            c.rf.num.terms for c in f.terms.values()]
+        assert print_poly(g) == print_poly(f)
 
 
 @pytest.fixture

@@ -1,0 +1,35 @@
+"""The benchmark's contract with the package: one round of the cofactor and
+batteries workloads runs, survives the pickle round trip the benchmark
+runner makes between rounds, and passes the benchmark's own checks."""
+
+import pathlib
+import pickle
+import sys
+
+import pytest
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    pytest.importorskip("sympy")
+    # the checks import perfbench/oracle.py; leave no bytecode under perfbench/
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    return workloads
+
+
+@pytest.mark.parametrize("name", ["Cofactor", "Batteries"])
+def test_one_round_checks(workloads, tmp_path, name):
+    wl = getattr(workloads, name)(1)
+    ops = wl.make_round(0)
+    results = [wl.run(op) for op in ops]
+    path = tmp_path / "0.pickle"
+    with open(path, "wb") as fh:
+        pickle.dump((ops, results), fh)
+    with open(path, "rb") as fh:
+        verdicts = wl.check(*pickle.load(fh))
+    assert len(verdicts) == len(ops) and all(verdicts)

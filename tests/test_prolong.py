@@ -30,7 +30,7 @@ from diffalg import (
     tau,
     tau_power_cofactor,
 )
-from diffalg.deltaring import as_multipoly, sort_key
+from diffalg.deltaring import as_multipoly
 from diffalg.exact import DivisionFails, poly_divide_exact
 from diffalg.sampling import sample_context, sample_point, sample_poly
 
@@ -238,7 +238,7 @@ class TestPowerCofactor:
         nested = shift_tau(shift_tau(x1 * x1, 1), 2)
         assert nested == 2 * x2 * ctx_qd.x(0, block=3) + 2 * x1 * ctx_qd.x(0, block=4)
         target = nested - 2 * x2 * x2
-        support = sorted(set(target.support()) | set(x1.support()), key=sort_key)
+        support = sorted(set(target.support()) | set(x1.support()))
         with pytest.raises(DivisionFails):
             poly_divide_exact(
                 as_multipoly(target, support), as_multipoly(x1, support)

@@ -18,7 +18,7 @@ from diffalg import (
     tau,
 )
 from diffalg.sampling import sample_context, sample_poly
-from diffalg.syntax import parse_scalar_rf
+from diffalg.syntax import MAX_EXPONENT, parse_scalar_rf
 from diffalg.transform import full_jet_context
 
 
@@ -77,6 +77,12 @@ class TestParse:
         assert parse_poly("y1", ctx) == ctx.x(0, block=2)
         assert parse_poly("x2_3", ctx) == ctx.x(1, block=3)
 
+    def test_exponent_bound(self, ctx):
+        assert parse_poly(f"x1^{MAX_EXPONENT}", ctx) == ctx.x(0) ** MAX_EXPONENT
+        for text in (f"x1^{MAX_EXPONENT + 1}", "x1^100000000", "d1^100000000 x1"):
+            with pytest.raises(ParseError, match="exceeds"):
+                parse_poly(text, ctx)
+
 
 class TestPrint:
     def test_identity_on_canonical(self, ctx):
@@ -125,6 +131,13 @@ class TestScalars:
     def test_round_trip(self, qt):
         s = parse_scalar("(t^2 + 1)/(2*t)", qt)
         assert parse_scalar(scalar_text(s), qt) == s
+
+    def test_exponent_bound(self):
+        t = parse_scalar_rf("t", ("t",))
+        assert parse_scalar_rf(f"t^{MAX_EXPONENT}", ("t",)) == t ** MAX_EXPONENT
+        for text in (f"t^{MAX_EXPONENT + 1}", "t^100000000"):
+            with pytest.raises(ParseError, match="exceeds"):
+                parse_scalar_rf(text, ("t",))
 
     def test_no_jets_in_scalars(self):
         with pytest.raises(ParseError):
