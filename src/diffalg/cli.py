@@ -437,7 +437,7 @@ def cmd_axiom_instance(args, out) -> int:
         text = args.w.strip()
         if text.startswith("["):
             try:
-                w_texts = tuple(str(s) for s in json.loads(text))
+                w_texts = _string_list(json.loads(text), "--w")
             except json.JSONDecodeError as e:
                 raise InputError(f"malformed --w list: {e}") from e
         else:

@@ -25,7 +25,8 @@ from fractions import Fraction
 from itertools import count
 from operator import itemgetter
 
-from .exact import MONO_ONE, MultiPoly, mono_degree, mono_from_pairs, mono_mul
+from .exact import (MONO_ONE, MultiPoly, accumulate, mono_degree, mono_from_pairs, mono_mul,
+                    power, terms_add, terms_mul)
 from .fields import BaseFieldElement, BaseFieldSpec, DerivationVector, derive_base
 
 
@@ -239,12 +240,7 @@ class DeltaPoly:
 
     def __init__(self, ctx: Context, terms=None):
         self.ctx = ctx
-        clean = {}
-        if terms:
-            for mono, c in terms.items():
-                if c:
-                    clean[mono] = c
-        self.terms = clean
+        self.terms = {m: c for m, c in terms.items() if c} if terms else {}
 
     def _check(self, other):
         if not self.ctx.compatible(other.ctx):
@@ -265,18 +261,12 @@ class DeltaPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if set(self.terms) != set(o.terms):
-            return False
-        return all(self.terms[m] == o.terms[m] for m in self.terms)
+        return self.terms == o.terms
 
     __hash__ = None
 
     def __add__(self, other):
-        o = self._coerce(other)
-        terms = dict(self.terms)
-        for m, c in o.terms.items():
-            accumulate(terms, m, c)
-        return DeltaPoly(self.ctx, terms)
+        return DeltaPoly(self.ctx, terms_add(self.terms, self._coerce(other).terms))
 
     __radd__ = __add__
 
@@ -291,22 +281,12 @@ class DeltaPoly:
         return (-self) + self._coerce(other)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        terms = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in o.terms.items():
-                accumulate(terms, mono_mul(m1, m2), c1 * c2)
-        return DeltaPoly(self.ctx, terms)
+        return DeltaPoly(self.ctx, terms_mul(self.terms, self._coerce(other).terms))
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative power of a differential polynomial")
-        out = self.ctx.one()
-        for _ in range(k):
-            out = out * self
-        return out
+        return power(self, k, self.ctx.one())
 
     def scale(self, c):
         if not isinstance(c, BaseFieldElement):
@@ -352,17 +332,6 @@ class DeltaPoly:
 
 
 # -- structural derivation ---------------------------------------------------
-
-
-def accumulate(terms: dict, mono, c) -> None:
-    """Add c to the coefficient of mono in a term dict, keeping every stored
-    coefficient nonzero."""
-    s = terms.get(mono)
-    s = c if s is None else s + c
-    if s:
-        terms[mono] = s
-    elif mono in terms:
-        del terms[mono]
 
 
 def leibniz(f: DeltaPoly, jet_image, vec: DerivationVector) -> DeltaPoly:
@@ -466,13 +435,14 @@ def substitute(f: DeltaPoly, image) -> DeltaPoly:
     """The ring homomorphism that fixes coefficients and sends each jet u to
     the DeltaPoly image(u) over the same context."""
     ctx = f.ctx
-    out = ctx.zero()
+    terms = {}
     for mono, c in f.terms.items():
         term = ctx.const(c)
         for jet, p in mono:
             term = term * image(jet) ** p
-        out = out + term
-    return out
+        for m, tc in term.terms.items():
+            accumulate(terms, m, tc)
+    return DeltaPoly(ctx, terms)
 
 
 def substitute_blocks(f: DeltaPoly, assignment) -> DeltaPoly:

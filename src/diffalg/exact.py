@@ -8,6 +8,11 @@ work unchanged.
 
 Monomials are stored sparsely as sorted tuples of (variable_index, exponent)
 pairs with positive exponents; the empty tuple is the unit monomial.
+
+A term map is a dict from monomials to nonzero coefficients. `accumulate`,
+`terms_add` and `terms_mul` are the one set of term-map routines, and
+`power` the one power loop: MultiPoly, the jet ring's DeltaPoly (whose
+monomials have jets for variables) and RationalFunction all use them.
 """
 
 from __future__ import annotations
@@ -31,6 +36,51 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     for i, e in b:
         d[i] = d.get(i, 0) + e
     return mono_from_pairs(d.items())
+
+
+def accumulate(terms: dict, mono, c) -> None:
+    """Add c to the coefficient of mono in a term map, keeping every stored
+    coefficient nonzero."""
+    s = terms.get(mono)
+    s = c if s is None else s + c
+    if s:
+        terms[mono] = s
+    elif mono in terms:
+        del terms[mono]
+
+
+def terms_add(a: dict, b: dict) -> dict:
+    """The sum of two term maps."""
+    terms = dict(a)
+    for m, c in b.items():
+        accumulate(terms, m, c)
+    return terms
+
+
+def terms_mul(a: dict, b: dict) -> dict:
+    """The product of two term maps. A constant factor only scales, with the
+    coefficients multiplied in operand order."""
+    if len(b) == 1 and MONO_ONE in b:
+        c = b[MONO_ONE]
+        return {m: co * c for m, co in a.items()}
+    if len(a) == 1 and MONO_ONE in a:
+        c = a[MONO_ONE]
+        return {m: c * co for m, co in b.items()}
+    terms = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            accumulate(terms, mono_mul(m1, m2), c1 * c2)
+    return terms
+
+
+def power(x, k: int, one):
+    """x**k as the k successive products one*x*...*x."""
+    if k < 0:
+        raise ValueError("negative power of a polynomial")
+    out = one
+    for _ in range(k):
+        out = out * x
+    return out
 
 
 def mono_degree(a: Monomial) -> int:
@@ -100,12 +150,7 @@ class MultiPoly:
 
     def __init__(self, vars, terms=None):
         self.vars = tuple(vars)
-        clean = {}
-        if terms:
-            for mono, c in terms.items():
-                if c:
-                    clean[mono] = c
-        self.terms = clean
+        self.terms = {m: c for m, c in terms.items() if c} if terms else {}
 
     # -- constructors ------------------------------------------------------
 
@@ -170,14 +215,7 @@ class MultiPoly:
 
     def __add__(self, other):
         self._check(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = terms.get(m, 0) + c
-            if s:
-                terms[m] = s
-            elif m in terms:
-                del terms[m]
-        return _wrap(self.vars, terms)
+        return _wrap(self.vars, terms_add(self.terms, other.terms))
 
     def __neg__(self):
         return _wrap(self.vars, {m: -c for m, c in self.terms.items()})
@@ -187,21 +225,7 @@ class MultiPoly:
 
     def __mul__(self, other):
         self._check(other)
-        # a constant factor only scales: no monomial products
-        if len(other.terms) == 1 and MONO_ONE in other.terms:
-            return self.scale(other.terms[MONO_ONE])
-        if len(self.terms) == 1 and MONO_ONE in self.terms:
-            return other.scale(self.terms[MONO_ONE])
-        terms = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                s = terms.get(m, 0) + c1 * c2
-                if s:
-                    terms[m] = s
-                elif m in terms:
-                    del terms[m]
-        return _wrap(self.vars, terms)
+        return _wrap(self.vars, terms_mul(self.terms, other.terms))
 
     def scale(self, c):
         if not c:
@@ -214,12 +238,7 @@ class MultiPoly:
         return _wrap(self.vars, {mono_mul(m, mono): c * coeff for m, c in self.terms.items()})
 
     def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        out = MultiPoly.constant(self.vars, Fraction(1))
-        for _ in range(k):
-            out = out * self
-        return out
+        return power(self, k, _unit(self.vars))
 
     def partial(self, index):
         """Formal partial derivative with respect to variable `index`."""
@@ -732,10 +751,7 @@ class RationalFunction:
     def __pow__(self, k):
         if k < 0:
             return self.inverse() ** (-k)
-        out = RationalFunction.const(self.vars, 1)
-        for _ in range(k):
-            out = out * self
-        return out
+        return power(self, k, RationalFunction.const(self.vars, 1))
 
     def partial(self, index):
         """Formal partial derivative with respect to a registry variable."""

@@ -29,7 +29,6 @@ from .deltaring import (
     Context,
     DeltaPoly,
     Jet,
-    accumulate,
     apply_delta,
     apply_op,
     as_multipoly,
@@ -39,7 +38,7 @@ from .deltaring import (
     mono_lower,
     substitute_blocks,
 )
-from .exact import DEGREVLEX, poly_divide_exact
+from .exact import DEGREVLEX, accumulate, poly_divide_exact
 from .fields import BaseFieldElement, DerivationVector, derive_base
 
 # Largest power k that tau_power_cofactor accepts by default.

@@ -11,7 +11,8 @@ canonical fragment):
     deriv   := 'd' nat ('^' exp)? | 'D' ('^' exp)?
     var     := 'x' nat | 'y' nat | 'x' nat '_' nat      (y = block 2, _b = block b)
     number  := nat
-    exp     := nat at most MAX_EXPONENT
+    exp     := nat at most MAX_EXPONENT, and at most MAX_EXPANSION_TERMS
+               terms in the expansion of the power it raises
 
 Derivation names commute, so 'd1 d2 x1' and 'd2 d1 x1' normalize to the same
 multi-index. 'D' jets are only valid in full-alphabet contexts. '/' performs
@@ -28,6 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .deltaring import Context, DeltaPoly, DerivOp, Jet
 from .exact import MultiPoly, RationalFunction
@@ -37,6 +39,12 @@ from .fields import BaseFieldElement, BaseFieldSpec
 # Largest exponent after '^' that the parser accepts, so that a short input
 # cannot ask for an unbounded number of multiplications.
 MAX_EXPONENT = 100
+
+# Most terms that one '^' may expand to. A base of T terms raised to k has at
+# most comb(T + k - 1, k) terms, and the parser refuses a power whose bound
+# exceeds this before multiplying, so that a short input cannot ask for an
+# unbounded expansion.
+MAX_EXPANSION_TERMS = 1000
 
 
 class ParseError(Exception):
@@ -201,10 +209,6 @@ class _PolySemantics:
             raise ParseError("division by zero", pos)
         return value.scale(c.inverse())
 
-    @staticmethod
-    def power(value, k):
-        return value ** k
-
 
 class _ScalarSemantics:
     """Builds RationalFunction values over a generator registry."""
@@ -225,10 +229,6 @@ class _ScalarSemantics:
         if not divisor:
             raise ParseError("division by zero", pos)
         return value / divisor
-
-    @staticmethod
-    def power(value, k):
-        return value ** k
 
 
 def _parse_expr(stream: _Stream, sem):
@@ -260,7 +260,14 @@ def _parse_term(stream: _Stream, sem):
 def _parse_factor(stream: _Stream, sem):
     value = _parse_primary(stream, sem)
     while stream.accept_op("^"):
-        value = sem.power(value, stream.expect_exponent())
+        pos = stream.peek().pos
+        k = stream.expect_exponent()
+        base_terms = (max(len(value.num.terms), len(value.den.terms))
+                      if isinstance(value, RationalFunction) else len(value.terms))
+        if base_terms > 1 and comb(base_terms + k - 1, k) > MAX_EXPANSION_TERMS:
+            raise ParseError(f"a {base_terms}-term base to the power {k} could expand "
+                             f"past {MAX_EXPANSION_TERMS} terms", pos)
+        value = value ** k
     return value
 
 

@@ -232,6 +232,8 @@ BAD_DOCUMENTS = [
     ("huge_table_exponent", ["tau"],
      {"m": 1, "n": 1, "base": {"generators": ["t"], "tables": [["1"], ["t^100000000"]]},
       "polys": ["x1"]}),
+    ("five_summand_power", ["tau"], {**BASE, "n": 2, "polys": ["(x1 + x2 + d1 x1 + d1 x2 + t)^100"]}),
+    ("three_summand_power", ["tau"], {**BASE, "polys": ["(x1 + d1 x1 + t)^60"]}),
 ]
 BAD_ARGVS = [
     ["check", "radic1", "--k", "0", "--cases", "3"],
@@ -240,6 +242,7 @@ BAD_ARGVS = [
     ["check", "exten1", "--cases", "-3"],
     ["check", "exten1", "--cases", "0"],
 ]
+BAD_W_ARGS = ['["x1", 3]', "[true]"]
 BAD_MATRIX_ARGS = [
     ("transform", "fulljet.json", '[["1"]]'),
     ("transform", "fulljet.json", '[["1","0"]]'),
@@ -276,6 +279,20 @@ def test_bad_check_argument_exits_2(capsys, argv):
 def test_bad_matrix_argument_exits_2(capsys, command, doc, matrix):
     code = main([command, "--input", str(INPUTS / doc), "--matrix", matrix])
     assert_one_error_line(capsys, code)
+
+
+@pytest.mark.parametrize("w", BAD_W_ARGS)
+def test_bad_w_argument_exits_2(capsys, w):
+    code = main(["axiom-instance", "--input", str(INPUTS / "axiom.json"), "--w", w])
+    assert_one_error_line(capsys, code)
+
+
+def test_powers_within_the_expansion_bound_run(tmp_path, capsys):
+    p = tmp_path / "powers.json"
+    base = {"generators": ["t", "u"], "tables": [["0", "1"], ["(t + 1)^100", "0"]]}
+    p.write_text(json.dumps({"m": 1, "n": 1, "polys": ["x1^100", "(d1 x1)^2"], "base": base}))
+    assert main(["tau", "--input", str(p)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_radic2_fault_is_not_a_witness():

@@ -22,7 +22,9 @@ from diffalg import (
     print_poly,
     rationals_field,
 )
-from diffalg.deltaring import from_multipoly, rank_key
+from diffalg import deltaring
+from diffalg.deltaring import DeltaPoly, from_multipoly, rank_key, substitute_blocks
+from diffalg.exact import mono_mul
 from diffalg.sampling import sample_context, sample_point, sample_poly
 
 
@@ -259,3 +261,111 @@ class TestEvaluate:
                 assert evaluate(apply_delta(i, f), subs) == apply_delta(
                     i, evaluate(f, subs)
                 )
+
+
+def _reference_accumulate(terms, mono, c):
+    s = terms.get(mono)
+    s = c if s is None else s + c
+    if s:
+        terms[mono] = s
+    elif mono in terms:
+        del terms[mono]
+
+
+def _reference_add(f, g):
+    """The jet-ring sum loop that the term-map kernel replaced."""
+    terms = dict(f.terms)
+    for m, c in g.terms.items():
+        _reference_accumulate(terms, m, c)
+    return DeltaPoly(f.ctx, terms)
+
+
+def _reference_mul(f, g):
+    """The jet-ring product loop that the term-map kernel replaced: no
+    shortcut for constant factors."""
+    terms = {}
+    for m1, c1 in f.terms.items():
+        for m2, c2 in g.terms.items():
+            _reference_accumulate(terms, mono_mul(m1, m2), c1 * c2)
+    return DeltaPoly(f.ctx, terms)
+
+
+def _reference_pow(f, k):
+    out = f.ctx.one()
+    for _ in range(k):
+        out = _reference_mul(out, f)
+    return out
+
+
+def _reference_substitute(f, image):
+    """The substitution that added each term into a fresh copy of the sum."""
+    ctx = f.ctx
+    out = ctx.zero()
+    for mono, c in f.terms.items():
+        term = ctx.const(c)
+        for jet, p in mono:
+            term = _reference_mul(term, _reference_pow(image(jet), p))
+        out = _reference_add(out, term)
+    return out
+
+
+def _old_eq(f, g):
+    if set(f.terms) != set(g.terms):
+        return False
+    return all(f.terms[m] == g.terms[m] for m in f.terms)
+
+
+def in_order(f):
+    """The stored terms of f in dict order, each coefficient as its stored
+    (numerator, denominator) term lists."""
+    return [(m, list(c.rf.num.terms.items()), list(c.rf.den.terms.items()))
+            for m, c in f.terms.items()]
+
+
+CTX_Q = Context.standard(rationals_field(2), 2)
+
+
+class TestTermMapKernel:
+    """Sums, products, powers and substitutions store the same terms, in the
+    same dict order, as the jet-ring loops they replaced."""
+
+    @given(st.integers(0, 2**32))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference_over_q(self, seed):
+        rng = Random(seed)
+        f = sample_poly(rng, CTX_Q, max_terms=3, max_order=1)
+        g = sample_poly(rng, CTX_Q, max_terms=3, max_order=1)
+        c = CTX_Q.const(Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4)))
+        for a, b in ((f, g), (c, f), (f, c), (c, c)):
+            assert in_order(a + b) == in_order(_reference_add(a, b))
+            assert in_order(a * b) == in_order(_reference_mul(a, b))
+        k = rng.randint(0, 4)
+        assert in_order(f ** k) == in_order(_reference_pow(f, k))
+
+    def test_matches_reference_over_moving_fields(self, moving_d_polys, monkeypatch):
+        rng = Random(43)
+        cases = []
+        for i, (ctx, f) in enumerate(moving_d_polys):
+            g = moving_d_polys[i - i % 15 + (i + 1) % 15][1]
+            c = ctx.const(g.terms[next(iter(g.terms))])
+            for a, b in ((f, g), (c, f), (f, c)):
+                assert in_order(a + b) == in_order(_reference_add(a, b))
+                assert in_order(a * b) == in_order(_reference_mul(a, b))
+            h = sample_poly(rng, ctx, max_terms=2, max_order=1, denominators=True)
+            k = i % 3
+            assert in_order(h ** k) == in_order(_reference_pow(h, k))
+            point = tuple(sample_poly(rng, ctx, max_terms=2, max_order=1)
+                          for _ in range(ctx.n))
+            cases.append((f, {1: point}))
+            cases.append((f, {1: sample_point(rng, ctx)}))
+        got = [in_order(substitute_blocks(f, a)) for f, a in cases]
+        monkeypatch.setattr(deltaring, "substitute", _reference_substitute)
+        assert got == [in_order(substitute_blocks(f, a)) for f, a in cases]
+
+    def test_equality_matches_old_form(self, moving_d_polys):
+        for i, (ctx, f) in enumerate(moving_d_polys):
+            g = moving_d_polys[i - i % 15 + (i + 1) % 15][1]
+            for a, b in ((f, f), (f, g), ((f + g) - g, f), (f, f.scale(2)),
+                         (f - f, ctx.zero())):
+                assert (a == b) == _old_eq(a, b)
+            assert (f + g) - g == f

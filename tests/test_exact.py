@@ -24,7 +24,7 @@ from diffalg.exact import (
     poly_divide_exact,
     poly_gcd,
 )
-from diffalg.exact import mono_div, mono_divides, mono_mul
+from diffalg.exact import MONO_ONE, mono_div, mono_divides, mono_mul
 from diffalg.sampling import sample_scalar
 
 VARS = ("a", "b")
@@ -338,6 +338,108 @@ class TestDivisionOracle:
                 with pytest.raises(DivisionFails) as e:
                     poly_divide_exact(f, divisors[0], order)
                 assert stored_terms(e.value.remainder) == stored_terms(ref_remainder)
+
+
+def _reference_add(f, g):
+    """The polynomial sum loop that the term-map kernel replaced."""
+    terms = dict(f.terms)
+    for m, c in g.terms.items():
+        s = terms.get(m, 0) + c
+        if s:
+            terms[m] = s
+        elif m in terms:
+            del terms[m]
+    return MultiPoly(f.vars, terms)
+
+
+def _reference_mul(f, g):
+    """The polynomial product loop that the term-map kernel replaced."""
+    if len(g.terms) == 1 and MONO_ONE in g.terms:
+        return f.scale(g.terms[MONO_ONE])
+    if len(f.terms) == 1 and MONO_ONE in f.terms:
+        return g.scale(f.terms[MONO_ONE])
+    terms = {}
+    for m1, c1 in f.terms.items():
+        for m2, c2 in g.terms.items():
+            m = mono_mul(m1, m2)
+            s = terms.get(m, 0) + c1 * c2
+            if s:
+                terms[m] = s
+            elif m in terms:
+                del terms[m]
+    return MultiPoly(f.vars, terms)
+
+
+def _reference_pow(f, k):
+    out = MultiPoly.constant(f.vars, Fraction(1))
+    for _ in range(k):
+        out = _reference_mul(out, f)
+    return out
+
+
+def _reference_rf_pow(r, k):
+    out = RationalFunction.const(r.vars, 1)
+    for _ in range(k):
+        out = out * r
+    return out
+
+
+def stored_in_order(r):
+    return list(r.num.terms.items()), list(r.den.terms.items())
+
+
+def in_order(p):
+    """The stored terms of p in dict order, with each coefficient's stored
+    pair when the coefficients are base-field elements."""
+    return [(m, stored_in_order(c.rf) if hasattr(c, "rf") else c)
+            for m, c in p.terms.items()]
+
+
+operands = st.one_of(multipolys(max_terms=5), constants)
+
+
+class TestTermMapKernel:
+    """The shared add, product and power loops store the same terms, in the
+    same dict order, as the polynomial loops they replaced."""
+
+    @given(operands, operands)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_over_q(self, f, g):
+        assert in_order(f + g) == in_order(_reference_add(f, g))
+        assert in_order(f * g) == in_order(_reference_mul(f, g))
+        assert in_order(f - g * f) == in_order(_reference_add(f, -_reference_mul(g, f)))
+
+    @given(multipolys(max_terms=3, max_exp=2), st.integers(0, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_power_matches_reference(self, f, k):
+        assert in_order(f ** k) == in_order(_reference_pow(f, k))
+        r = RationalFunction(f + ONE, A + ONE)
+        assert stored_in_order(r ** k) == stored_in_order(_reference_rf_pow(r, k))
+
+    def test_matches_reference_over_moving_field(self, qtu):
+        # A constant left factor scales in operand order, c * co, where the
+        # replaced loop scaled by co * c; over a base field those two pairs
+        # may list their terms in different orders, so that case is
+        # compared by value.
+        rng = Random(23)
+
+        def poly(max_terms):
+            terms = {}
+            for _ in range(rng.randint(1, max_terms)):
+                mono = tuple((i, e) for i in range(len(VARS)) if (e := rng.randint(0, 2)))
+                terms[mono] = sample_scalar(rng, qtu, degree=1, allow_zero=False,
+                                            denominators=True)
+            return MultiPoly(VARS, terms)
+
+        for case in range(30):
+            f, g = poly(3), poly(3)
+            c = MultiPoly.constant(VARS, g.terms[next(iter(g.terms))])
+            assert in_order(f + g) == in_order(_reference_add(f, g))
+            assert in_order(f * g) == in_order(_reference_mul(f, g))
+            assert in_order(f * c) == in_order(_reference_mul(f, c))
+            assert c * f == _reference_mul(c, f)
+            if case < 10:
+                assert in_order(f ** 2) == in_order(_reference_pow(f, 2))
 
 
 class TestWorkCounts:

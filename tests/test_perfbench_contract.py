@@ -33,3 +33,29 @@ def test_one_round_checks(workloads, tmp_path, name):
     with open(path, "rb") as fh:
         verdicts = wl.check(*pickle.load(fh))
     assert len(verdicts) == len(ops) and all(verdicts)
+
+
+def test_tracer_wraps_the_traced_layers(workloads):
+    """The tracer finds every traced method in its own class body, counts
+    calls through the wrappers, and puts the original methods back."""
+    import tracing
+
+    from diffalg import deltaring, exact, prolong
+
+    def bindings():
+        return (exact.MultiPoly.__dict__["__mul__"], deltaring.DeltaPoly.__dict__["__mul__"],
+                deltaring.DeltaPoly.__dict__["__add__"], prolong.tau_power_cofactor)
+
+    originals = bindings()
+    wl = workloads.Cofactor(1)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for i, op in enumerate(wl.make_round(0)):
+            tracer.run_op(i, wl.run, op)
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    for name in ("exact.MultiPoly.mul", "deltaring.DeltaPoly.mul", "prolong.tau_power_cofactor"):
+        assert metrics[f"{name}.calls"] > 0
+    assert all(a is b for a, b in zip(bindings(), originals))

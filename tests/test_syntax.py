@@ -18,7 +18,7 @@ from diffalg import (
     tau,
 )
 from diffalg.sampling import sample_context, sample_poly
-from diffalg.syntax import MAX_EXPONENT, parse_scalar_rf
+from diffalg.syntax import MAX_EXPANSION_TERMS, MAX_EXPONENT, parse_scalar_rf
 from diffalg.transform import full_jet_context
 
 
@@ -83,6 +83,12 @@ class TestParse:
             with pytest.raises(ParseError, match="exceeds"):
                 parse_poly(text, ctx)
 
+    def test_expansion_bound(self, ctx):
+        assert len(parse_poly("(x1 + t)^100", ctx).terms) == 101
+        for text in ("(x1 + x2 + 1)^44", "(x1 + d1 x1 + t)^60", "(x1 + x2 + d1 x2 + t)^17"):
+            with pytest.raises(ParseError, match=f"past {MAX_EXPANSION_TERMS} terms"):
+                parse_poly(text, ctx)
+
 
 class TestPrint:
     def test_identity_on_canonical(self, ctx):
@@ -138,6 +144,15 @@ class TestScalars:
         for text in (f"t^{MAX_EXPONENT + 1}", "t^100000000"):
             with pytest.raises(ParseError, match="exceeds"):
                 parse_scalar_rf(text, ("t",))
+
+    def test_expansion_bound(self):
+        # a T-term base squared may have comb(T + 1, 2) terms: 990 for T = 44
+        gens = ("t", "u")
+        assert parse_scalar_rf("(" + " + ".join(f"t^{i}" for i in range(44)) + ")^2", gens)
+        for text in ("(" + " + ".join(f"t^{i}" for i in range(45)) + ")^2",
+                     "(t + u + 1)^44", "(1/(t + u + 1))^44", "((t + u + 1)^2)^30"):
+            with pytest.raises(ParseError, match=f"past {MAX_EXPANSION_TERMS} terms"):
+                parse_scalar_rf(text, gens)
 
     def test_no_jets_in_scalars(self):
         with pytest.raises(ParseError):
